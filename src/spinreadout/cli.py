@@ -10,8 +10,10 @@ so a failed run never leaves a partial output file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from dataclasses import asdict
 
 from .core import (
     DOT0,
@@ -40,14 +42,8 @@ from .error_analysis import (
     panel_axes,
     sweep_grid,
 )
-from .montecarlo import DetectorModel, effective_outcome_probability, sample_readout
-from .protocol import (
-    dot_occupancy,
-    noisy_sequence,
-    occupancies,
-    run_readout,
-    three_dot_sequence,
-)
+from .montecarlo import DetectorModel, sample_readout
+from .protocol import occupancies, run_readout, three_dot_sequence
 
 _ANGLE_FLAGS = ("theta1", "theta2", "psi", "phi")
 
@@ -210,16 +206,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     detector = DetectorModel(args.efficiency, args.false_positive)
     record = sample_readout(spin_in, params, args.shots, args.seed, detector)
-    out = apply(noisy_sequence(params), spin_in.to_state(4))
-    analytic = effective_outcome_probability(dot_occupancy(out, DOT1), detector)
-    payload = {
-        "shots": record.shots,
-        "detected_dot1": record.detected_dot1,
-        "seed": record.seed,
-        "estimated_p_up": record.estimated_p_up,
-        "analytic_p_up": analytic,
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", args.output)
+    _emit(json.dumps(asdict(record), indent=2) + "\n", args.output)
     return 0
 
 
@@ -251,7 +238,9 @@ def _add_output_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", default=None, help="write here instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and reused by `main`."""
     parser = argparse.ArgumentParser(
         prog="spinreadout",
         description="Simulate single-spin readout by spin-to-charge conversion.",

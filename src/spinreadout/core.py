@@ -46,6 +46,18 @@ class ValidationError(ValueError):
         self.field = field
 
 
+def check_finite(field: str, value: float) -> None:
+    """Reject NaN and +-inf, naming the field."""
+    if not math.isfinite(value):
+        raise ValidationError(field, f"{field} = {value!r} is not finite")
+
+
+def check_delta(delta: float) -> None:
+    """Reject an input polar angle outside [0, pi]."""
+    if not 0.0 <= delta <= math.pi:
+        raise ValidationError("delta", f"delta = {delta!r} outside [0, pi]")
+
+
 def modes_for_dim(dim: int) -> tuple[str, ...]:
     """Ordered mode labels for a supported dimension (4 or 6)."""
     try:
@@ -215,8 +227,7 @@ class SpinInput:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.delta <= math.pi:
-            raise ValidationError("delta", f"delta = {self.delta!r} outside [0, pi]")
+        check_delta(self.delta)
         if not 0.0 <= self.gamma < 2 * math.pi:
             raise ValidationError("gamma", f"gamma = {self.gamma!r} outside [0, 2*pi)")
 
@@ -232,12 +243,16 @@ class SpinInput:
 class GateParams:
     """Gate-imperfection angles: mode rotations theta1/theta2 of the two
     tunneling steps, conditional phase psi, spin-rotation angle phi.
-    Angles are unrestricted; periodicity is the caller's concern."""
+    Angles are finite; periodicity is the caller's concern."""
 
     theta1: float
     theta2: float
     psi: float
     phi: float
+
+    def __post_init__(self):
+        for name in ("theta1", "theta2", "psi", "phi"):
+            check_finite(name, getattr(self, name))
 
     @classmethod
     def ideal(cls) -> "GateParams":

@@ -15,10 +15,11 @@ to within 2%.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .constants import ELECTRON_MASS_KG, EV_TO_J, HBAR_J_S, HBAR_UEV_PS, m_to_nm, nm_to_m
-from .core import ValidationError
+from .core import ValidationError, check_finite
 
 DEFAULT_EFFECTIVE_MASS = 0.026
 
@@ -33,7 +34,9 @@ class PulseSpec:
     def __post_init__(self):
         if not self.segments:
             raise ValidationError("segments", "pulse needs at least one segment")
-        for i, (_, duration) in enumerate(self.segments):
+        for i, (amplitude, duration) in enumerate(self.segments):
+            if not (math.isfinite(amplitude) and math.isfinite(duration)):
+                raise ValidationError("segments", f"segment {i} ({amplitude!r}, {duration!r}) is not finite")
             if duration <= 0:
                 raise ValidationError("segments", f"segment {i} duration {duration!r} must be > 0")
 
@@ -45,11 +48,11 @@ class RashbaSpec:
     Parameters
     ----------
     alpha_ev_m : float
-        Spin-orbit coupling in eV*m; must be positive.
+        Spin-orbit coupling in eV*m; must be positive and finite.
     effective_mass : float
-        Carrier mass in units of the free-electron mass; must be positive.
+        Carrier mass in units of the free-electron mass; must be positive and finite.
     target_angle : float
-        Desired spin-rotation angle in radians.
+        Desired spin-rotation angle in radians; must be finite.
     """
 
     alpha_ev_m: float
@@ -57,6 +60,9 @@ class RashbaSpec:
     target_angle: float
 
     def __post_init__(self):
+        check_finite("alpha", self.alpha_ev_m)
+        check_finite("effective_mass", self.effective_mass)
+        check_finite("target_angle", self.target_angle)
         if self.alpha_ev_m <= 0:
             raise ValidationError("alpha", f"alpha = {self.alpha_ev_m!r} must be > 0")
         if self.effective_mass <= 0:

@@ -23,12 +23,12 @@ quadrature.  Probabilities are asserted to land in [0, 1], never clamped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import ATOL, GateParams, ValidationError
+from .core import ATOL, GateParams, ValidationError, check_delta, check_finite
 from .protocol import ReadoutProbabilities
 from .quadrature import integrate_adaptive
 
@@ -36,29 +36,31 @@ DEFAULT_RESOLUTION = 101
 DEFAULT_THETA_RANGE = (0.0, math.pi / 2)
 DEFAULT_PHASE_RANGE = (0.0, 2 * math.pi)
 
-# Which gate angles an axis writes; "theta" drives both tunneling angles and
-# "psi_phi_locked" drives psi = v together with phi = 2v.
+# The (gate angle, scale) pairs an axis value v writes as scale * v; "theta"
+# locks theta1 = theta2 = v and "psi_phi_locked" locks psi = v, phi = 2v.
 _AXIS_TARGETS = {
-    "theta1": ("theta1",),
-    "theta2": ("theta2",),
-    "psi": ("psi",),
-    "phi": ("phi",),
-    "theta": ("theta1", "theta2"),
-    "psi_phi_locked": ("psi", "phi"),
+    "theta1": (("theta1", 1.0),),
+    "theta2": (("theta2", 1.0),),
+    "psi": (("psi", 1.0),),
+    "phi": (("phi", 1.0),),
+    "theta": (("theta1", 1.0), ("theta2", 1.0)),
+    "psi_phi_locked": (("psi", 1.0), ("phi", 2.0)),
 }
 
 AXIS_NAMES = tuple(_AXIS_TARGETS)
-PANELS = ("a", "b", "c")
 
-
-def _check_delta(delta: float) -> None:
-    if not 0.0 <= delta <= math.pi:
-        raise ValidationError("delta", f"delta = {delta!r} outside [0, pi]")
+# Preset panels: the name and default range of each axis.
+_PANELS = {
+    "a": (("theta1", DEFAULT_THETA_RANGE), ("theta2", DEFAULT_THETA_RANGE)),
+    "b": (("psi", DEFAULT_PHASE_RANGE), ("phi", DEFAULT_PHASE_RANGE)),
+    "c": (("theta", DEFAULT_THETA_RANGE), ("psi_phi_locked", DEFAULT_PHASE_RANGE)),
+}
+PANELS = tuple(_PANELS)
 
 
 def probabilities_closed_form(params: GateParams, delta: float) -> ReadoutProbabilities:
     """Evaluate the closed-form p_up/p_down for an input polar angle delta."""
-    _check_delta(delta)
+    check_delta(delta)
     a = 0.5 * math.sin(2 * params.theta1) * math.sin(2 * params.theta2) * (
         1.0
         + math.cos(params.psi) * math.cos(params.phi / 2)
@@ -68,21 +70,36 @@ def probabilities_closed_form(params: GateParams, delta: float) -> ReadoutProbab
     return ReadoutProbabilities(p_up=math.sin(diff) ** 2 + a, p_down=math.cos(diff) ** 2 - a)
 
 
+def _coefficients(theta1, theta2, psi, phi):
+    """(c0, c1) of E(delta) = c0 + c1 cos(delta), over broadcastable gate angles."""
+    s = np.sin(2 * theta1) * np.sin(2 * theta2)
+    c0 = np.sin(theta1 - theta2) ** 2 + 0.5 * s * (1.0 + np.cos(psi) * np.cos(phi / 2)) - 0.5
+    c1 = 0.5 * (s * np.sin(psi) * np.sin(phi / 2) - 1.0)
+    return c0, c1
+
+
+def _ebar(c0, c1):
+    """Exact Ebar = (1/pi) int_0^pi |c0 + c1 cos(delta)| d(delta), elementwise: split
+    at the kink arccos(-c0/c1) when |c0| < |c1|, else E keeps one sign and the
+    cosine term integrates to zero."""
+    kinked = np.abs(c0) < np.abs(c1)
+    # Off the kink branch -c0/c1 may be 0/0 or outside [-1, 1]; np.where drops it.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kink = np.arccos(np.divide(-c0, c1))
+    left = c0 * kink + c1 * np.sin(kink)
+    right = c0 * (np.pi - kink) - c1 * np.sin(kink)
+    return np.where(kinked, (np.abs(left) + np.abs(right)) / np.pi, np.abs(c0))
+
+
 def error_coefficients(params: GateParams) -> tuple[float, float]:
     """Coefficients (c0, c1) of the affine error E(delta) = c0 + c1 cos(delta)."""
-    s = math.sin(2 * params.theta1) * math.sin(2 * params.theta2)
-    c0 = (
-        math.sin(params.theta1 - params.theta2) ** 2
-        + 0.5 * s * (1.0 + math.cos(params.psi) * math.cos(params.phi / 2))
-        - 0.5
-    )
-    c1 = 0.5 * (s * math.sin(params.psi) * math.sin(params.phi / 2) - 1.0)
-    return c0, c1
+    c0, c1 = _coefficients(params.theta1, params.theta2, params.psi, params.phi)
+    return float(c0), float(c1)
 
 
 def measurement_error(params: GateParams, delta: float) -> float:
     """Signed error E = p_up - cos^2(delta/2) of the imperfect apparatus."""
-    _check_delta(delta)
+    check_delta(delta)
     c0, c1 = error_coefficients(params)
     return c0 + c1 * math.cos(delta)
 
@@ -90,23 +107,15 @@ def measurement_error(params: GateParams, delta: float) -> float:
 def avg_abs_error(params: GateParams, method: str = "analytic") -> float:
     """Average of |E| over delta uniform on [0, pi].
 
-    "analytic" integrates the affine error piecewise exactly, splitting at the
-    interior kink arccos(-c0/c1) when |c0| < |c1|; "quadrature" integrates
-    |E| numerically to absolute tolerance 1e-10 as an independent route.
+    "analytic" integrates the affine error piecewise exactly; "quadrature"
+    integrates |E| numerically to absolute tolerance 1e-10 as an independent
+    route.
     """
+    c0, c1 = error_coefficients(params)
     if method == "analytic":
-        c0, c1 = error_coefficients(params)
-        if abs(c0) < abs(c1):
-            kink = math.acos(-c0 / c1)
-            left = c0 * kink + c1 * math.sin(kink)
-            right = c0 * (math.pi - kink) - c1 * math.sin(kink)
-            return (abs(left) + abs(right)) / math.pi
-        # One sign throughout; the cosine term integrates to zero over [0, pi].
-        return abs(c0)
+        return float(_ebar(c0, c1))
     if method == "quadrature":
-        integral = integrate_adaptive(
-            lambda d: abs(measurement_error(params, d)), 0.0, math.pi, tol=1e-10
-        )
+        integral = integrate_adaptive(lambda d: abs(c0 + c1 * math.cos(d)), 0.0, math.pi, tol=1e-10)
         return integral / math.pi
     raise ValidationError("method", f"unknown method {method!r}, expected analytic or quadrature")
 
@@ -118,18 +127,11 @@ class ExtremalError(NamedTuple):
     delta_max: float
 
 
-def extremal_error(params: GateParams, grid_points: int = 101) -> ExtremalError:
-    """Error extremes over all inputs: the minimum sits at delta = 0 and the
-    maximum at delta = pi, verified on a delta grid before returning."""
-    e_low = measurement_error(params, 0.0)
-    e_high = measurement_error(params, math.pi)
-    for delta in np.linspace(0.0, math.pi, grid_points):
-        e = measurement_error(params, float(delta))
-        if e < e_low - ATOL or e > e_high + ATOL:
-            raise ValidationError(
-                "params", f"error at delta = {float(delta)!r} escapes the [E(0), E(pi)] envelope"
-            )
-    return ExtremalError(e_low, e_high, 0.0, math.pi)
+def extremal_error(params: GateParams) -> ExtremalError:
+    """Error extremes over all inputs: since c1 <= 0, the minimum E(0) = c0 + c1
+    sits at delta = 0 and the maximum E(pi) = c0 - c1 at delta = pi."""
+    c0, c1 = error_coefficients(params)
+    return ExtremalError(c0 + c1, c0 - c1, 0.0, math.pi)
 
 
 @dataclass(frozen=True)
@@ -148,6 +150,8 @@ class AxisSpec:
             )
         if self.num < 2:
             raise ValidationError("resolution", f"need at least 2 points per axis, got {self.num}")
+        check_finite("start", self.start)
+        check_finite("stop", self.stop)
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.num)
@@ -169,39 +173,26 @@ class ErrorGrid:
                 "values",
                 f"grid shape {vals.shape} does not match axes ({self.axis1.num}, {self.axis2.num})",
             )
-        if vals.size and (vals.min() < -ATOL or vals.max() > 1.0 + ATOL):
-            raise ValidationError("values", "averaged error escaped [0, 1]")
+        if not np.all(np.isfinite(vals) & (vals >= -ATOL) & (vals <= 1.0 + ATOL)):
+            raise ValidationError("values", "averaged error is not finite or escaped [0, 1]")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
 
-def _write_axis(params: GateParams, name: str, value: float) -> GateParams:
-    if name == "theta":
-        return replace(params, theta1=value, theta2=value)
-    if name == "psi_phi_locked":
-        return replace(params, psi=value, phi=2.0 * value)
-    return replace(params, **{name: value})
-
-
-def sweep_grid(
-    axis1: AxisSpec, axis2: AxisSpec, fixed: GateParams, method: str = "analytic"
-) -> ErrorGrid:
+def sweep_grid(axis1: AxisSpec, axis2: AxisSpec, fixed: GateParams) -> ErrorGrid:
     """Evaluate the averaged error at every node of a two-axis sweep.
 
-    Node evaluations are independent pure computations; output ordering is
-    row-major by axis indices regardless of how they are scheduled.
+    Axis 1 runs down the rows and axis 2 along the columns, so the values are
+    row-major with axis 1 slowest.
     """
-    touched1, touched2 = _AXIS_TARGETS[axis1.name], _AXIS_TARGETS[axis2.name]
-    if set(touched1) & set(touched2):
-        raise ValidationError(
-            "axis2", f"axis {axis2.name!r} overlaps axis {axis1.name!r} on {set(touched1) & set(touched2)}"
-        )
-    vals = np.empty((axis1.num, axis2.num))
-    for i, v1 in enumerate(axis1.values()):
-        base = _write_axis(fixed, axis1.name, float(v1))
-        for j, v2 in enumerate(axis2.values()):
-            vals[i, j] = avg_abs_error(_write_axis(base, axis2.name, float(v2)), method)
-    return ErrorGrid(axis1, axis2, fixed, vals)
+    shared = {g for g, _ in _AXIS_TARGETS[axis1.name]} & {g for g, _ in _AXIS_TARGETS[axis2.name]}
+    if shared:
+        raise ValidationError("axis2", f"axis {axis2.name!r} overlaps axis {axis1.name!r} on {shared}")
+    gates = asdict(fixed)
+    for axis, values in ((axis1, axis1.values()[:, None]), (axis2, axis2.values()[None, :])):
+        for gate, scale in _AXIS_TARGETS[axis.name]:
+            gates[gate] = scale * values
+    return ErrorGrid(axis1, axis2, fixed, _ebar(*_coefficients(**gates)))
 
 
 def panel_axes(
@@ -216,21 +207,9 @@ def panel_axes(
     b: phases psi vs phi, tunneling angles ideal;
     c: locked pair theta1 = theta2 = theta vs psi, with phi locked to 2 psi.
     """
-    ideal = GateParams.ideal()
-    if panel == "a":
-        r1 = range1 if range1 is not None else DEFAULT_THETA_RANGE
-        r2 = range2 if range2 is not None else DEFAULT_THETA_RANGE
-        return AxisSpec("theta1", r1[0], r1[1], resolution), AxisSpec("theta2", r2[0], r2[1], resolution), ideal
-    if panel == "b":
-        r1 = range1 if range1 is not None else DEFAULT_PHASE_RANGE
-        r2 = range2 if range2 is not None else DEFAULT_PHASE_RANGE
-        return AxisSpec("psi", r1[0], r1[1], resolution), AxisSpec("phi", r2[0], r2[1], resolution), ideal
-    if panel == "c":
-        r1 = range1 if range1 is not None else DEFAULT_THETA_RANGE
-        r2 = range2 if range2 is not None else DEFAULT_PHASE_RANGE
-        return (
-            AxisSpec("theta", r1[0], r1[1], resolution),
-            AxisSpec("psi_phi_locked", r2[0], r2[1], resolution),
-            ideal,
-        )
-    raise ValidationError("panel", f"unknown panel {panel!r}, expected one of {PANELS}")
+    if panel not in _PANELS:
+        raise ValidationError("panel", f"unknown panel {panel!r}, expected one of {PANELS}")
+    (name1, default1), (name2, default2) = _PANELS[panel]
+    r1 = range1 if range1 is not None else default1
+    r2 = range2 if range2 is not None else default2
+    return AxisSpec(name1, *r1, resolution), AxisSpec(name2, *r2, resolution), GateParams.ideal()

@@ -36,18 +36,24 @@ class DetectorModel:
 
 @dataclass(frozen=True)
 class ShotRecord:
+    """Counts of one run, fields in the order of the montecarlo JSON keys;
+    `analytic_p_up` is the expectation of `estimated_p_up`."""
+
     shots: int
     detected_dot1: int
     seed: int
     estimated_p_up: float
+    analytic_p_up: float
 
     def __post_init__(self):
         if not 0 <= self.detected_dot1 <= self.shots:
             raise ValidationError(
                 "detected_dot1", f"count {self.detected_dot1} outside [0, {self.shots}]"
             )
-        if not 0.0 <= self.estimated_p_up <= 1.0:
-            raise ValidationError("estimated_p_up", f"{self.estimated_p_up!r} outside [0, 1]")
+        for name in ("estimated_p_up", "analytic_p_up"):
+            p = getattr(self, name)
+            if not 0.0 <= p <= 1.0:
+                raise ValidationError(name, f"{p!r} outside [0, 1]")
 
 
 def effective_outcome_probability(p_occupied: float, detector: DetectorModel) -> float:
@@ -95,4 +101,5 @@ def sample_readout(
         detected += int(np.count_nonzero(reported))
         done += count
         batch_index += 1
-    return ShotRecord(shots=shots, detected_dot1=detected, seed=seed, estimated_p_up=detected / shots)
+    analytic_p_up = effective_outcome_probability(p_occupied, det)
+    return ShotRecord(shots, detected, seed, detected / shots, analytic_p_up)

@@ -77,6 +77,12 @@ def test_protocol_rejects_delta_out_of_range(capsys):
     assert "delta" in err
 
 
+def test_protocol_rejects_infinite_angle(capsys):
+    code, _, err = run(capsys, ["protocol", "--delta", "1", "--theta1", "inf"])
+    assert code == 2
+    assert "theta1" in err
+
+
 def test_protocol_three_dot_rejects_gate_angles(capsys):
     code, _, err = run(capsys, ["protocol", "--variant", "three-dot", "--delta", "1.0", "--theta1", "0.5"])
     assert code == 2
@@ -199,6 +205,24 @@ def test_errmap_validation_failures(capsys):
     assert code == 2 and "axis1" in err
 
 
+def test_errmap_rejects_non_finite_range(capsys, tmp_path):
+    path = tmp_path / "grid.csv"
+    argv = ["errmap", "--panel", "a", "--resolution", "3", "--range1", "nan,1", "--output", str(path)]
+    code, _, err = run(capsys, argv)
+    assert code == 2 and "start" in err
+    assert not path.exists()
+
+
+def test_errmap_rejects_non_finite_fixed_angle(capsys):
+    code, out, err = run(
+        capsys,
+        ["errmap", "--panel", "custom", "--axis1", "theta1", "--axis2", "phi",
+         "--range1", "0,1", "--range2", "0,1", "--resolution", "3", "--psi", "nan"],
+    )
+    assert code == 2 and "psi" in err
+    assert out == ""
+
+
 def test_errmap_validation_failure_leaves_no_file(capsys, tmp_path):
     path = tmp_path / "never.csv"
     code, _, _ = run(capsys, ["errmap", "--range1", "nope", "--output", str(path)])
@@ -291,6 +315,13 @@ def test_device_pulse_for_angle_zero_target(capsys):
     code, out, _ = run(capsys, ["device", "pulse-for-angle", "--angle", "0", "--duration", "1"])
     assert code == 0
     assert float(out.split()[0]) == 0.0
+
+
+def test_device_rejects_non_finite_input(capsys):
+    code, _, err = run(capsys, ["device", "rashba-length", "--alpha", "4e-11", "--angle", "nan"])
+    assert code == 2 and "target_angle" in err
+    code, _, err = run(capsys, ["device", "pulse-angle", "--segments", "nan:1"])
+    assert code == 2 and "segments" in err
 
 
 def test_device_rejects_malformed_segments(capsys):

@@ -213,3 +213,12 @@ def test_spin_input_state_is_normalized_superposition():
 
 def test_gate_params_ideal():
     assert GateParams.ideal() == GateParams(math.pi / 4, math.pi / 4, math.pi / 2, math.pi)
+
+
+@pytest.mark.parametrize("field", ["theta1", "theta2", "psi", "phi"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gate_params_reject_non_finite_angles(field, bad):
+    angles = {"theta1": 0.1, "theta2": 0.2, "psi": 0.3, "phi": 0.4, field: bad}
+    with pytest.raises(ValidationError, match=field) as excinfo:
+        GateParams(**angles)
+    assert excinfo.value.field == field

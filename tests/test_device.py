@@ -65,6 +65,10 @@ def test_pulse_validation():
         PulseSpec(((1.0, 0.0),))
     with pytest.raises(ValidationError, match="duration"):
         pulse_for_angle(1.0, -2.0)
+    with pytest.raises(ValidationError, match="not finite"):
+        PulseSpec(((math.nan, 1.0),))
+    with pytest.raises(ValidationError, match="not finite"):
+        PulseSpec(((1.0, math.inf),))
 
 
 def test_rashba_reference_lengths():
@@ -103,6 +107,12 @@ def test_rashba_validation():
         RashbaSpec(1e-11, -1.0, 1.0)
     with pytest.raises(ValidationError, match="alpha"):
         rashba_angle(-1e-11, 0.026, 58.0)
+    with pytest.raises(ValidationError, match="target_angle"):
+        RashbaSpec(4e-11, 0.026, math.nan)
+    with pytest.raises(ValidationError, match="alpha"):
+        RashbaSpec(math.nan, 0.026, 1.0)
+    with pytest.raises(ValidationError, match="effective_mass"):
+        RashbaSpec(4e-11, math.inf, 1.0)
 
 
 def test_unit_conversions_round_trip():

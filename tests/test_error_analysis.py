@@ -117,8 +117,10 @@ def test_extremal_error_envelope_on_random_params():
     rng = np.random.default_rng(19)
     for _ in range(300):
         params = random_params(rng)
-        result = extremal_error(params)  # raises if the envelope is violated
-        assert result.e_min <= result.e_max + 1e-15
+        result = extremal_error(params)
+        errors = [measurement_error(params, float(d)) for d in np.linspace(0.0, math.pi, 101)]
+        assert (result.e_min, result.e_max) == (errors[0], errors[-1])
+        assert all(result.e_min <= e <= result.e_max for e in errors)
 
 
 def test_avg_abs_error_ideal_and_no_tunneling():
@@ -192,12 +194,21 @@ def test_axis_and_grid_validation():
         AxisSpec("theta3", 0, 1, 5)
     with pytest.raises(ValidationError, match="resolution"):
         AxisSpec("theta1", 0, 1, 1)
+    with pytest.raises(ValidationError, match="start"):
+        AxisSpec("theta1", math.nan, 1, 5)
+    with pytest.raises(ValidationError, match="stop"):
+        AxisSpec("theta1", 0, math.inf, 5)
     with pytest.raises(ValidationError, match="overlap"):
         sweep_grid(AxisSpec("theta", 0, 1, 3), AxisSpec("theta1", 0, 1, 3), GateParams.ideal())
     with pytest.raises(ValidationError, match="panel"):
         panel_axes("d")
     with pytest.raises(ValidationError, match="values"):
         ErrorGrid(AxisSpec("psi", 0, 1, 3), AxisSpec("phi", 0, 1, 3), GateParams.ideal(), np.zeros((2, 2)))
+    with pytest.raises(ValidationError, match="values"):
+        ErrorGrid(AxisSpec("psi", 0, 1, 2), AxisSpec("phi", 0, 1, 2), GateParams.ideal(), np.full((2, 2), np.nan))
+    # phi = 2 * psi overflows to inf on a finite axis; the grid guard catches the NaN it yields
+    with pytest.raises(ValidationError, match="values"), pytest.warns(RuntimeWarning):
+        sweep_grid(AxisSpec("theta", 0, 1, 2), AxisSpec("psi_phi_locked", 0, 1e308, 2), GateParams.ideal())
 
 
 def test_adaptive_quadrature_known_integrals():

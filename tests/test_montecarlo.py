@@ -97,6 +97,20 @@ def test_batching_covers_all_shots():
     assert record.detected_dot1 == shots  # p_up = 1 deterministically
 
 
+def test_non_finite_gate_angle_is_rejected_before_sampling():
+    # u < nan is always False, so an unchecked NaN angle would give 0 detections silently
+    with pytest.raises(ValidationError, match="theta1"):
+        sample_readout(SpinInput(1.0), GateParams(math.nan, 0.7, 1, 2), 1000, 1)
+
+
+def test_record_carries_detector_adjusted_probability():
+    detector = DetectorModel(0.9, 0.05)
+    params = GateParams(0.7, 0.8, 1.5, 3.0)
+    record = sample_readout(SpinInput(1.1), params, shots=100, seed=2, detector=detector)
+    out = apply(noisy_sequence(params), SpinInput(1.1).to_state(4))
+    assert record.analytic_p_up == effective_outcome_probability(dot_occupancy(out, "1"), detector)
+
+
 def test_input_validation():
     with pytest.raises(ValidationError, match="shots"):
         sample_readout(SpinInput(0.5), GateParams.ideal(), shots=0, seed=1)
@@ -107,4 +121,4 @@ def test_input_validation():
     with pytest.raises(ValidationError, match="false_positive"):
         DetectorModel(1.0, -0.1)
     with pytest.raises(ValidationError, match="detected_dot1"):
-        ShotRecord(shots=10, detected_dot1=11, seed=0, estimated_p_up=1.0)
+        ShotRecord(shots=10, detected_dot1=11, seed=0, estimated_p_up=1.0, analytic_p_up=1.0)

@@ -1,0 +1,84 @@
+"""Property tests of the error-surface identities over finite gate angles.
+
+Runs are derandomized, so every run draws the same examples.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spinreadout import (
+    AxisSpec,
+    GateParams,
+    avg_abs_error,
+    error_coefficients,
+    extremal_error,
+    measurement_error,
+    sweep_grid,
+)
+
+ANGLES = st.floats(-4 * math.pi, 4 * math.pi)
+GATES = st.builds(GateParams, ANGLES, ANGLES, ANGLES, ANGLES)
+DELTAS = st.floats(0.0, math.pi)
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+# The gate angles each sweep axis sets from its value v, written out here
+# independently of the library's axis table.
+AXIS_WRITES = {
+    "theta1": lambda v: {"theta1": v},
+    "theta2": lambda v: {"theta2": v},
+    "psi": lambda v: {"psi": v},
+    "phi": lambda v: {"phi": v},
+    "theta": lambda v: {"theta1": v, "theta2": v},
+    "psi_phi_locked": lambda v: {"psi": v, "phi": 2 * v},
+}
+AXIS_PAIRS = [
+    (a, b)
+    for a in AXIS_WRITES
+    for b in AXIS_WRITES
+    if not AXIS_WRITES[a](0.0).keys() & AXIS_WRITES[b](0.0).keys()
+]
+
+
+@PROPERTY
+@given(
+    pair=st.sampled_from(AXIS_PAIRS),
+    fixed=GATES,
+    range1=st.tuples(ANGLES, ANGLES),
+    range2=st.tuples(ANGLES, ANGLES),
+    nums=st.tuples(st.integers(2, 5), st.integers(2, 5)),
+)
+def test_grid_nodes_equal_scalar_ebar(pair, fixed, range1, range2, nums):
+    axis1 = AxisSpec(pair[0], *range1, nums[0])
+    axis2 = AxisSpec(pair[1], *range2, nums[1])
+    grid = sweep_grid(axis1, axis2, fixed)
+    for i, v1 in enumerate(axis1.values()):
+        for j, v2 in enumerate(axis2.values()):
+            angles = {**vars(fixed), **AXIS_WRITES[pair[0]](float(v1)), **AXIS_WRITES[pair[1]](float(v2))}
+            assert abs(grid.values[i, j] - avg_abs_error(GateParams(**angles))) <= 1e-15
+
+
+@PROPERTY
+@given(GATES)
+def test_analytic_ebar_matches_quadrature(params):
+    assert abs(avg_abs_error(params) - avg_abs_error(params, "quadrature")) <= 1e-9
+
+
+@PROPERTY
+@given(GATES)
+def test_ebar_lies_in_unit_interval(params):
+    assert 0.0 <= avg_abs_error(params) <= 1.0
+
+
+@PROPERTY
+@given(GATES)
+def test_error_slope_is_never_positive(params):
+    assert error_coefficients(params)[1] <= 0.0
+
+
+@PROPERTY
+@given(GATES, DELTAS)
+def test_error_extremes_sit_at_zero_and_pi(params, delta):
+    extremes = extremal_error(params)
+    assert extremes.e_min <= measurement_error(params, delta) <= extremes.e_max
