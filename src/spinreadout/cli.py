@@ -19,11 +19,14 @@ from .core import (
     DOT0,
     DOT0P,
     DOT1,
+    SPIN_DOWN,
+    SPIN_UP,
+    SPINS,
+    THREE_DOT_MODES,
     GateParams,
     SpinInput,
     ValidationError,
     apply,
-    modes_for_dim,
 )
 from .device import (
     DEFAULT_EFFECTIVE_MASS,
@@ -47,6 +50,15 @@ from .protocol import occupancies, run_readout, three_dot_sequence
 
 _ANGLE_FLAGS = ("theta1", "theta2", "psi", "phi")
 
+# Report labels of the two-dot output amplitudes, label -> (spin, mode): f on
+# dot 0, g on dot 1; the three-dot report labels each amplitude "spin;mode".
+_TWO_DOT_LABELS = {
+    "f1": (SPIN_UP, DOT0),
+    "f2": (SPIN_DOWN, DOT0),
+    "g1": (SPIN_UP, DOT1),
+    "g2": (SPIN_DOWN, DOT1),
+}
+
 
 def _fmt(value: float) -> str:
     return format(float(value), ".12g")
@@ -68,20 +80,13 @@ def grid_to_csv(grid: ErrorGrid) -> str:
 
 
 def grid_to_json(grid: ErrorGrid) -> str:
-    def axis_payload(axis: AxisSpec) -> dict:
-        return {"name": axis.name, "start": axis.start, "stop": axis.stop, "num": axis.num}
-
     payload = {
-        "axis1": axis_payload(grid.axis1),
-        "axis2": axis_payload(grid.axis2),
-        "fixed": _params_json(grid.fixed),
+        "axis1": asdict(grid.axis1),
+        "axis2": asdict(grid.axis2),
+        "fixed": asdict(grid.fixed),
         "values": grid.values.tolist(),
     }
     return json.dumps(payload, indent=2) + "\n"
-
-
-def _params_json(params: GateParams) -> dict[str, float]:
-    return {name: getattr(params, name) for name in _ANGLE_FLAGS}
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -138,44 +143,30 @@ def _params_from_args(args: argparse.Namespace) -> GateParams:
 
 def _cmd_protocol(args: argparse.Namespace) -> int:
     spin_in = SpinInput(args.delta, args.gamma)
-    if args.variant == "three-dot":
+    three_dot = args.variant == "three-dot"
+    report = {"variant": args.variant, "input": {"delta": args.delta, "gamma": args.gamma}}
+    if three_dot:
         explicit = _explicit_angles(args)
         if explicit:
             raise ValidationError(
                 next(iter(explicit)), "the three-dot variant runs fixed ideal gates only"
             )
         state = apply(three_dot_sequence(), spin_in.to_state(6))
-        occ = occupancies(state)
-        report = {
-            "variant": "three-dot",
-            "input": {"delta": args.delta, "gamma": args.gamma},
-            "amplitudes": {
-                f"{spin};{mode}": _complex_json(state.amplitude(spin, mode))
-                for spin in ("up", "down")
-                for mode in modes_for_dim(6)
-            },
-            "occupancy": occ,
-            "p_up": occ[DOT1],
-            "p_down": occ[DOT0P],
-            "unconverted": occ[DOT0],
-        }
+        labels = {f"{spin};{mode}": (spin, mode) for spin in SPINS for mode in THREE_DOT_MODES}
     else:
         params = _params_from_args(args)
-        amps, probs = run_readout(spin_in, params)
-        report = {
-            "variant": "two-dot",
-            "input": {"delta": args.delta, "gamma": args.gamma},
-            "params": _params_json(params),
-            "amplitudes": {
-                "f1": _complex_json(amps.f1),
-                "f2": _complex_json(amps.f2),
-                "g1": _complex_json(amps.g1),
-                "g2": _complex_json(amps.g2),
-            },
-            "occupancy": {DOT0: probs.p_down, DOT1: probs.p_up},
-            "p_up": probs.p_up,
-            "p_down": probs.p_down,
-        }
+        report["params"] = asdict(params)
+        state, _ = run_readout(spin_in, params)
+        labels = _TWO_DOT_LABELS
+    occ = occupancies(state)
+    report["amplitudes"] = {
+        label: _complex_json(state.amplitude(spin, mode)) for label, (spin, mode) in labels.items()
+    }
+    report["occupancy"] = occ
+    report["p_up"] = occ[DOT1]
+    report["p_down"] = occ[DOT0P if three_dot else DOT0]
+    if three_dot:
+        report["unconverted"] = occ[DOT0]
     _emit(json.dumps(report, indent=2) + "\n", args.output)
     return 0
 

@@ -12,25 +12,9 @@ ELECTRON_MASS_KG = 9.1093837015e-31
 EV_TO_J = 1.602176634e-19
 
 
-def ev_to_uev(energy_ev: float) -> float:
-    return energy_ev * 1e6
-
-
-def uev_to_ev(energy_uev: float) -> float:
-    return energy_uev * 1e-6
-
-
 def m_to_nm(length_m: float) -> float:
     return length_m * 1e9
 
 
 def nm_to_m(length_nm: float) -> float:
     return length_nm * 1e-9
-
-
-def s_to_ps(time_s: float) -> float:
-    return time_s * 1e12
-
-
-def ps_to_s(time_ps: float) -> float:
-    return time_ps * 1e-12

@@ -37,6 +37,11 @@ _MODES_BY_DIM = {4: TWO_DOT_MODES, 6: THREE_DOT_MODES}
 # probability sums) in double precision.
 ATOL = 1e-12
 
+# Largest gate-angle magnitude accepted, in radians.  The closed form and the
+# matrix path agree to within ATOL up to here; further out theta1 - theta2
+# loses digits (drift 1.8e-12 at 1e4 rad, 1.2e-10 at 1e6 rad).
+MAX_ANGLE = 1e3
+
 
 class ValidationError(ValueError):
     """An argument fell outside its documented domain; `field` names it."""
@@ -50,6 +55,19 @@ def check_finite(field: str, value: float) -> None:
     """Reject NaN and +-inf, naming the field."""
     if not math.isfinite(value):
         raise ValidationError(field, f"{field} = {value!r} is not finite")
+
+
+def check_positive(field: str, value: float) -> None:
+    """Reject a value that is not finite or not > 0, naming the field."""
+    check_finite(field, value)
+    if value <= 0:
+        raise ValidationError(field, f"{field} = {value!r} must be > 0")
+
+
+def check_angle(field: str, value: float) -> None:
+    """Reject a gate angle that is NaN or exceeds MAX_ANGLE in magnitude, naming the field."""
+    if not abs(value) <= MAX_ANGLE:
+        raise ValidationError(field, f"{field} = {value!r} outside [-{MAX_ANGLE:g}, {MAX_ANGLE:g}]")
 
 
 def check_delta(delta: float) -> None:
@@ -243,7 +261,8 @@ class SpinInput:
 class GateParams:
     """Gate-imperfection angles: mode rotations theta1/theta2 of the two
     tunneling steps, conditional phase psi, spin-rotation angle phi.
-    Angles are finite; periodicity is the caller's concern."""
+    Each angle lies in [-MAX_ANGLE, MAX_ANGLE]; periodicity is the caller's
+    concern."""
 
     theta1: float
     theta2: float
@@ -252,7 +271,7 @@ class GateParams:
 
     def __post_init__(self):
         for name in ("theta1", "theta2", "psi", "phi"):
-            check_finite(name, getattr(self, name))
+            check_angle(name, getattr(self, name))
 
     @classmethod
     def ideal(cls) -> "GateParams":

@@ -15,11 +15,10 @@ to within 2%.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .constants import ELECTRON_MASS_KG, EV_TO_J, HBAR_J_S, HBAR_UEV_PS, m_to_nm, nm_to_m
-from .core import ValidationError, check_finite
+from .core import ValidationError, check_finite, check_positive
 
 DEFAULT_EFFECTIVE_MASS = 0.026
 
@@ -35,10 +34,8 @@ class PulseSpec:
         if not self.segments:
             raise ValidationError("segments", "pulse needs at least one segment")
         for i, (amplitude, duration) in enumerate(self.segments):
-            if not (math.isfinite(amplitude) and math.isfinite(duration)):
-                raise ValidationError("segments", f"segment {i} ({amplitude!r}, {duration!r}) is not finite")
-            if duration <= 0:
-                raise ValidationError("segments", f"segment {i} duration {duration!r} must be > 0")
+            check_finite(f"segments[{i}].amplitude", amplitude)
+            check_positive(f"segments[{i}].duration", duration)
 
 
 @dataclass(frozen=True)
@@ -60,13 +57,9 @@ class RashbaSpec:
     target_angle: float
 
     def __post_init__(self):
-        check_finite("alpha", self.alpha_ev_m)
-        check_finite("effective_mass", self.effective_mass)
+        check_positive("alpha", self.alpha_ev_m)
+        check_positive("effective_mass", self.effective_mass)
         check_finite("target_angle", self.target_angle)
-        if self.alpha_ev_m <= 0:
-            raise ValidationError("alpha", f"alpha = {self.alpha_ev_m!r} must be > 0")
-        if self.effective_mass <= 0:
-            raise ValidationError("effective_mass", f"mass = {self.effective_mass!r} must be > 0")
 
 
 def pulse_angle(spec: PulseSpec) -> float:
@@ -80,8 +73,8 @@ def pulse_for_angle(target: float, duration_ps: float) -> float:
 
     Round-trips through pulse_angle to 1e-12 relative.
     """
-    if duration_ps <= 0:
-        raise ValidationError("duration", f"duration = {duration_ps!r} must be > 0")
+    check_finite("target", target)
+    check_positive("duration", duration_ps)
     return -target * HBAR_UEV_PS / duration_ps
 
 
@@ -109,10 +102,9 @@ def rashba_angle(alpha_ev_m: float, effective_mass: float, length_nm: float) -> 
 
     Inverse of rashba_length; the pair round-trips to 1e-12 relative.
     """
-    if alpha_ev_m <= 0:
-        raise ValidationError("alpha", f"alpha = {alpha_ev_m!r} must be > 0")
-    if effective_mass <= 0:
-        raise ValidationError("effective_mass", f"mass = {effective_mass!r} must be > 0")
+    check_positive("alpha", alpha_ev_m)
+    check_positive("effective_mass", effective_mass)
+    check_finite("length", length_nm)
     mass_kg = effective_mass * ELECTRON_MASS_KG
     alpha_j_m = alpha_ev_m * EV_TO_J
     return 2.0 * mass_kg * alpha_j_m * nm_to_m(length_nm) / HBAR_J_S**2

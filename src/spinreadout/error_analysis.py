@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ATOL, GateParams, ValidationError, check_delta, check_finite
+from .core import ATOL, GateParams, ValidationError, check_angle, check_delta
 from .protocol import ReadoutProbabilities
 from .quadrature import integrate_adaptive
 
@@ -123,15 +123,13 @@ def avg_abs_error(params: GateParams, method: str = "analytic") -> float:
 class ExtremalError(NamedTuple):
     e_min: float
     e_max: float
-    delta_min: float
-    delta_max: float
 
 
 def extremal_error(params: GateParams) -> ExtremalError:
     """Error extremes over all inputs: since c1 <= 0, the minimum E(0) = c0 + c1
     sits at delta = 0 and the maximum E(pi) = c0 - c1 at delta = pi."""
     c0, c1 = error_coefficients(params)
-    return ExtremalError(c0 + c1, c0 - c1, 0.0, math.pi)
+    return ExtremalError(c0 + c1, c0 - c1)
 
 
 @dataclass(frozen=True)
@@ -150,8 +148,8 @@ class AxisSpec:
             )
         if self.num < 2:
             raise ValidationError("resolution", f"need at least 2 points per axis, got {self.num}")
-        check_finite("start", self.start)
-        check_finite("stop", self.stop)
+        check_angle("start", self.start)
+        check_angle("stop", self.stop)
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.num)

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DOT1, GateParams, SpinInput, ValidationError, apply
-from .protocol import dot_occupancy, noisy_sequence
+from .core import GateParams, SpinInput, ValidationError
+from .protocol import run_readout
 
 # Substream granularity: batch i of a run always covers shots
 # [i*BATCH_SHOTS, (i+1)*BATCH_SHOTS) from its own generator, so partial sums
@@ -87,8 +87,7 @@ def sample_readout(
         raise ValidationError("seed", f"seed must be non-negative, got {seed}")
     det = detector if detector is not None else DetectorModel.ideal()
 
-    out = apply(noisy_sequence(params), spin_in.to_state(4))
-    p_occupied = dot_occupancy(out, DOT1)
+    p_occupied = run_readout(spin_in, params)[1].p_up
 
     detected = 0
     done = 0

@@ -41,21 +41,6 @@ from .core import (
 
 
 @dataclass(frozen=True)
-class ReadoutAmplitudes:
-    """Output amplitudes: f1, f2 on dot 0 (spin up, down); g1, g2 on dot 1."""
-
-    f1: complex
-    f2: complex
-    g1: complex
-    g2: complex
-
-    def __post_init__(self):
-        total = abs(self.f1) ** 2 + abs(self.f2) ** 2 + abs(self.g1) ** 2 + abs(self.g2) ** 2
-        if abs(total - 1.0) > ATOL:
-            raise ValidationError("amplitudes", f"|f|^2 + |g|^2 = {total!r}, expected 1")
-
-
-@dataclass(frozen=True)
 class ReadoutProbabilities:
     """Probability mass assigned to each spin call; must sum to one."""
 
@@ -89,24 +74,15 @@ def noisy_sequence(params: GateParams) -> Unitary:
     )
 
 
-def run_readout(spin_in: SpinInput, params: GateParams) -> tuple[ReadoutAmplitudes, ReadoutProbabilities]:
+def run_readout(spin_in: SpinInput, params: GateParams) -> tuple[StateVector, ReadoutProbabilities]:
     """Propagate the input spin through the (possibly imperfect) sequence.
 
-    p_up collects the dot-1 amplitude weight, p_down the dot-0 weight; both
-    are independent of the input's relative phase gamma.
+    Returns the output state and the probabilities read off it: p_up is the
+    dot-1 occupancy, p_down the dot-0 occupancy; both are independent of the
+    input's relative phase gamma.
     """
     out = apply(noisy_sequence(params), spin_in.to_state(4))
-    amps = ReadoutAmplitudes(
-        f1=out.amplitude(SPIN_UP, DOT0),
-        f2=out.amplitude(SPIN_DOWN, DOT0),
-        g1=out.amplitude(SPIN_UP, DOT1),
-        g2=out.amplitude(SPIN_DOWN, DOT1),
-    )
-    probs = ReadoutProbabilities(
-        p_up=abs(amps.g1) ** 2 + abs(amps.g2) ** 2,
-        p_down=abs(amps.f1) ** 2 + abs(amps.f2) ** 2,
-    )
-    return amps, probs
+    return out, ReadoutProbabilities(p_up=dot_occupancy(out, DOT1), p_down=dot_occupancy(out, DOT0))
 
 
 def three_dot_coupler() -> Unitary:

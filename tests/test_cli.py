@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -223,6 +224,16 @@ def test_errmap_rejects_non_finite_fixed_angle(capsys):
     assert out == ""
 
 
+def test_errmap_rejects_range_beyond_max_angle(capsys):
+    argv = ["errmap", "--panel", "custom", "--axis1", "theta", "--axis2", "psi_phi_locked",
+            "--range1", "0,1", "--range2", "0,1e308", "--resolution", "2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: stop:") and err.count("\n") == 1
+
+
 def test_errmap_validation_failure_leaves_no_file(capsys, tmp_path):
     path = tmp_path / "never.csv"
     code, _, _ = run(capsys, ["errmap", "--range1", "nope", "--output", str(path)])
@@ -322,6 +333,15 @@ def test_device_rejects_non_finite_input(capsys):
     assert code == 2 and "target_angle" in err
     code, _, err = run(capsys, ["device", "pulse-angle", "--segments", "nan:1"])
     assert code == 2 and "segments" in err
+    cases = [
+        (["rashba-angle", "--alpha", "4e-11", "--length", "nan"], "length"),
+        (["rashba-angle", "--alpha", "nan", "--length", "3"], "alpha"),
+        (["pulse-for-angle", "--angle", "nan", "--duration", "1"], "target"),
+        (["pulse-for-angle", "--angle", "1", "--duration", "nan"], "duration"),
+    ]
+    for argv, field in cases:
+        code, out, err = run(capsys, ["device"] + argv)
+        assert code == 2 and out == "" and err.startswith(f"error: {field}:")
 
 
 def test_device_rejects_malformed_segments(capsys):

@@ -216,7 +216,7 @@ def test_gate_params_ideal():
 
 
 @pytest.mark.parametrize("field", ["theta1", "theta2", "psi", "phi"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
 def test_gate_params_reject_non_finite_angles(field, bad):
     angles = {"theta1": 0.1, "theta2": 0.2, "psi": 0.3, "phi": 0.4, field: bad}
     with pytest.raises(ValidationError, match=field) as excinfo:

@@ -11,15 +11,7 @@ from spinreadout import (
     rashba_angle,
     rashba_length,
 )
-from spinreadout.constants import (
-    HBAR_UEV_PS,
-    ev_to_uev,
-    m_to_nm,
-    nm_to_m,
-    ps_to_s,
-    s_to_ps,
-    uev_to_ev,
-)
+from spinreadout.constants import HBAR_UEV_PS, m_to_nm, nm_to_m
 
 
 def test_pulse_angle_inverts_defining_integral():
@@ -117,6 +109,4 @@ def test_rashba_validation():
 
 def test_unit_conversions_round_trip():
     for value in (1.0, 3.7e-11, 250.0):
-        assert uev_to_ev(ev_to_uev(value)) == pytest.approx(value, rel=1e-12)
         assert nm_to_m(m_to_nm(value)) == pytest.approx(value, rel=1e-12)
-        assert ps_to_s(s_to_ps(value)) == pytest.approx(value, rel=1e-12)

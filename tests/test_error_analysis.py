@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from spinreadout import (
     run_readout,
     sweep_grid,
 )
+from spinreadout.core import MAX_ANGLE
 from spinreadout.quadrature import integrate_adaptive
 
 
@@ -35,6 +37,21 @@ def test_closed_form_matches_matrix_oracle():
         _, mx = run_readout(SpinInput(delta), params)
         worst = max(worst, abs(cf.p_up - mx.p_up), abs(cf.p_down - mx.p_down))
     assert worst <= 1e-12
+
+
+def test_closed_form_matches_matrix_oracle_up_to_max_angle():
+    rng = np.random.default_rng(13)
+    worst = 0.0
+    for _ in range(300):
+        params = GateParams(*rng.uniform(-MAX_ANGLE, MAX_ANGLE, 4))
+        delta = rng.uniform(0, math.pi)
+        cf = probabilities_closed_form(params, delta)
+        _, mx = run_readout(SpinInput(delta), params)
+        worst = max(worst, abs(cf.p_up - mx.p_up), abs(cf.p_down - mx.p_down))
+    assert worst <= 1e-12
+    GateParams(MAX_ANGLE, -MAX_ANGLE, MAX_ANGLE, -MAX_ANGLE)
+    with pytest.raises(ValidationError, match="theta1"):
+        GateParams(math.nextafter(MAX_ANGLE, math.inf), 0.0, 0.0, 0.0)
 
 
 def test_closed_form_recovers_ideal_probabilities():
@@ -107,10 +124,9 @@ def test_error_slope_coefficient_is_never_positive():
 
 
 def test_extremal_error_cases():
-    assert extremal_error(GateParams.ideal()) == pytest.approx((0.0, 0.0, 0.0, math.pi), abs=1e-12)
+    assert extremal_error(GateParams.ideal()) == pytest.approx((0.0, 0.0), abs=1e-12)
     result = extremal_error(GateParams(math.pi / 4, math.pi / 4, 0.0, math.pi))
     assert result.e_min == pytest.approx(-0.5, abs=1e-12)
-    assert result.delta_min == 0.0 and result.delta_max == math.pi
 
 
 def test_extremal_error_envelope_on_random_params():
@@ -206,8 +222,9 @@ def test_axis_and_grid_validation():
         ErrorGrid(AxisSpec("psi", 0, 1, 3), AxisSpec("phi", 0, 1, 3), GateParams.ideal(), np.zeros((2, 2)))
     with pytest.raises(ValidationError, match="values"):
         ErrorGrid(AxisSpec("psi", 0, 1, 2), AxisSpec("phi", 0, 1, 2), GateParams.ideal(), np.full((2, 2), np.nan))
-    # phi = 2 * psi overflows to inf on a finite axis; the grid guard catches the NaN it yields
-    with pytest.raises(ValidationError, match="values"), pytest.warns(RuntimeWarning):
+    # a bound beyond MAX_ANGLE is rejected on the axis, before any angle can overflow
+    with warnings.catch_warnings(), pytest.raises(ValidationError, match="stop"):
+        warnings.simplefilter("error")
         sweep_grid(AxisSpec("theta", 0, 1, 2), AxisSpec("psi_phi_locked", 0, 1e308, 2), GateParams.ideal())
 
 
