@@ -60,23 +60,23 @@ _TWO_DOT_LABELS = {
 }
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".12g")
-
-
 def _complex_json(z: complex) -> dict[str, float]:
     return {"re": z.real, "im": z.imag}
 
 
 def grid_to_csv(grid: ErrorGrid) -> str:
-    """Serialize a grid as `axis1,axis2,Ebar` rows, axis1 slowest, 12
-    significant digits, '\\n' line endings."""
-    lines = ["axis1,axis2,Ebar"]
-    v1, v2 = grid.axis1.values(), grid.axis2.values()
-    for i in range(grid.axis1.num):
-        for j in range(grid.axis2.num):
-            lines.append(f"{_fmt(v1[i])},{_fmt(v2[j])},{_fmt(grid.values[i, j])}")
-    return "\n".join(lines) + "\n"
+    """Serialize a grid as `axis1,axis2,Ebar` rows, axis1 slowest, each cell
+    reading as format(v, ".12g"), '\\n' line endings."""
+    # One row's template, formatted once: axis 1 as the str.format field {0},
+    # axis 2 written in, Ebar as "%.12g" (the bytes of format(v, ".12g") for
+    # the finite floats a grid holds).  Each row then costs two C-level calls.
+    row = "".join([f"{{0}},{v2:.12g},%.12g\n" for v2 in grid.axis2.values().tolist()])
+    lines = ["axis1,axis2,Ebar\n"]
+    lines += [
+        row.format(format(v1, ".12g")) % tuple(ebar)
+        for v1, ebar in zip(grid.axis1.values().tolist(), grid.values.tolist())
+    ]
+    return "".join(lines)
 
 
 def grid_to_json(grid: ErrorGrid) -> str:
@@ -309,15 +309,18 @@ _DISPATCH = {
 }
 
 
+_LIST_FLAGS = ("--segments", "--range1", "--range2")
+
+
 def _normalize_argv(argv: list[str]) -> list[str]:
-    """Fold `--segments VALUE` into `--segments=VALUE`; a dash-led value like
-    -1:2 would otherwise be read as a flag."""
+    """Fold `FLAG VALUE` into `FLAG=VALUE` for each of _LIST_FLAGS; a dash-led
+    value like -1:2 or -1,1 would otherwise be read as a flag."""
     out = []
     tokens = iter(argv)
     for token in tokens:
-        if token == "--segments":
+        if token in _LIST_FLAGS:
             value = next(tokens, None)
-            out.append(token if value is None else f"--segments={value}")
+            out.append(token if value is None else f"{token}={value}")
         else:
             out.append(token)
     return out

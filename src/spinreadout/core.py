@@ -54,26 +54,26 @@ class ValidationError(ValueError):
 def check_finite(field: str, value: float) -> None:
     """Reject NaN and +-inf, naming the field."""
     if not math.isfinite(value):
-        raise ValidationError(field, f"{field} = {value!r} is not finite")
+        raise ValidationError(field, f"{value!r} is not finite")
 
 
 def check_positive(field: str, value: float) -> None:
     """Reject a value that is not finite or not > 0, naming the field."""
     check_finite(field, value)
     if value <= 0:
-        raise ValidationError(field, f"{field} = {value!r} must be > 0")
+        raise ValidationError(field, f"{value!r} must be > 0")
 
 
-def check_angle(field: str, value: float) -> None:
-    """Reject a gate angle that is NaN or exceeds MAX_ANGLE in magnitude, naming the field."""
-    if not abs(value) <= MAX_ANGLE:
-        raise ValidationError(field, f"{field} = {value!r} outside [-{MAX_ANGLE:g}, {MAX_ANGLE:g}]")
+def check_angle(field: str, value: float, bound: float = MAX_ANGLE) -> None:
+    """Reject a gate angle that is NaN or exceeds `bound` in magnitude, naming the field."""
+    if not abs(value) <= bound:
+        raise ValidationError(field, f"{value!r} outside [-{bound:g}, {bound:g}]")
 
 
 def check_delta(delta: float) -> None:
     """Reject an input polar angle outside [0, pi]."""
     if not 0.0 <= delta <= math.pi:
-        raise ValidationError("delta", f"delta = {delta!r} outside [0, pi]")
+        raise ValidationError("delta", f"{delta!r} outside [0, pi]")
 
 
 def modes_for_dim(dim: int) -> tuple[str, ...]:
@@ -247,7 +247,7 @@ class SpinInput:
     def __post_init__(self):
         check_delta(self.delta)
         if not 0.0 <= self.gamma < 2 * math.pi:
-            raise ValidationError("gamma", f"gamma = {self.gamma!r} outside [0, 2*pi)")
+            raise ValidationError("gamma", f"{self.gamma!r} outside [0, 2*pi)")
 
     def to_state(self, dim: int = 4) -> StateVector:
         """(cos(delta/2)|up> + e^{i gamma} sin(delta/2)|down>) in dot 0."""

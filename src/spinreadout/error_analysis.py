@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ATOL, GateParams, ValidationError, check_angle, check_delta
+from .core import ATOL, MAX_ANGLE, GateParams, ValidationError, check_angle, check_delta
 from .protocol import ReadoutProbabilities
 from .quadrature import integrate_adaptive
 
@@ -148,8 +148,10 @@ class AxisSpec:
             )
         if self.num < 2:
             raise ValidationError("resolution", f"need at least 2 points per axis, got {self.num}")
-        check_angle("start", self.start)
-        check_angle("stop", self.stop)
+        # The axis writes scale * v, so every gate angle it sets stays within MAX_ANGLE.
+        bound = MAX_ANGLE / max(scale for _, scale in _AXIS_TARGETS[self.name])
+        check_angle("start", self.start, bound)
+        check_angle("stop", self.stop, bound)
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.num)

@@ -27,7 +27,7 @@ class DetectorModel:
     def __post_init__(self):
         for name, p in (("efficiency", self.efficiency), ("false_positive", self.false_positive)):
             if not 0.0 <= p <= 1.0:
-                raise ValidationError(name, f"{name} = {p!r} outside [0, 1]")
+                raise ValidationError(name, f"{p!r} outside [0, 1]")
 
     @classmethod
     def ideal(cls) -> "DetectorModel":

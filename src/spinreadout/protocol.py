@@ -50,7 +50,7 @@ class ReadoutProbabilities:
     def __post_init__(self):
         for name, p in (("p_up", self.p_up), ("p_down", self.p_down)):
             if not -ATOL <= p <= 1.0 + ATOL:
-                raise ValidationError(name, f"{name} = {p!r} outside [0, 1]")
+                raise ValidationError(name, f"{p!r} outside [0, 1]")
         if abs(self.p_up + self.p_down - 1.0) > ATOL:
             raise ValidationError("p_up", f"p_up + p_down = {self.p_up + self.p_down!r}, expected 1")
 

@@ -234,6 +234,46 @@ def test_errmap_rejects_range_beyond_max_angle(capsys):
     assert err.startswith("error: stop:") and err.count("\n") == 1
 
 
+def test_errmap_bounds_scaled_sweep_angle(capsys):
+    # psi_phi_locked writes phi = 2v, so its range is bounded by MAX_ANGLE / 2.
+    base = ["errmap", "--panel", "custom", "--axis1", "theta", "--axis2", "psi_phi_locked",
+            "--range1", "0,1", "--resolution", "2"]
+    code, out, err = run(capsys, base + ["--range2", "0,1000"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: stop:") and err.count("\n") == 1
+    code, out, err = run(capsys, base + ["--range2", "999,1000"])
+    assert code == 2 and out == "" and err.count("\n") == 1
+    code, out, err = run(capsys, base + ["--range2", "499,500"])
+    assert code == 0 and err == ""
+    assert len(parse_csv(out)) == 4
+
+
+def test_errmap_accepts_dash_led_ranges(capsys):
+    base = ["errmap", "--panel", "custom", "--axis1", "theta1", "--axis2", "phi", "--resolution", "3"]
+    code, spaced, _ = run(capsys, base + ["--range1", "-1,1", "--range2", "-0.5,0.5"])
+    assert code == 0
+    code, joined, _ = run(capsys, base + ["--range1=-1,1", "--range2=-0.5,0.5"])
+    assert code == 0 and spaced == joined
+    assert parse_csv(spaced)[0][:2] == (-1.0, -0.5)
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["device", "rashba-angle", "--alpha", "4e-11", "--length", "nan"], "length"),
+        (["device", "pulse-angle", "--segments", "1:0"], "segments[0].duration"),
+        (["protocol", "--delta", "4"], "delta"),
+        (["protocol", "--delta", "1", "--gamma", "7"], "gamma"),
+        (["protocol", "--delta", "1", "--phi", "2000"], "phi"),
+        (["montecarlo", "--delta", "1", "--shots", "10", "--efficiency", "2"], "efficiency"),
+    ],
+)
+def test_validation_error_names_field_once(capsys, argv, field):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {field}: ") and err.count(field) == 1
+
+
 def test_errmap_validation_failure_leaves_no_file(capsys, tmp_path):
     path = tmp_path / "never.csv"
     code, _, _ = run(capsys, ["errmap", "--range1", "nope", "--output", str(path)])

@@ -1,11 +1,12 @@
-"""Property tests of the error-surface identities over finite gate angles.
+"""Property tests of the error-surface identities over finite gate angles, and
+of the grid CSV bytes against a per-cell reference.
 
 Runs are derandomized, so every run draws the same examples.
 """
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinreadout import (
@@ -15,8 +16,10 @@ from spinreadout import (
     error_coefficients,
     extremal_error,
     measurement_error,
+    panel_axes,
     sweep_grid,
 )
+from spinreadout.cli import grid_to_csv
 
 ANGLES = st.floats(-4 * math.pi, 4 * math.pi)
 GATES = st.builds(GateParams, ANGLES, ANGLES, ANGLES, ANGLES)
@@ -82,3 +85,52 @@ def test_error_slope_is_never_positive(params):
 def test_error_extremes_sit_at_zero_and_pi(params, delta):
     extremes = extremal_error(params)
     assert extremes.e_min <= measurement_error(params, delta) <= extremes.e_max
+
+
+def reference_csv(grid):
+    """Per-cell CSV of a grid, written out here apart from the library's serializer."""
+    lines = ["axis1,axis2,Ebar"]
+    v1, v2 = grid.axis1.values(), grid.axis2.values()
+    for i in range(grid.axis1.num):
+        for j in range(grid.axis2.num):
+            cells = (v1[i], v2[j], grid.values[i, j])
+            lines.append(",".join(format(float(v), ".12g") for v in cells))
+    return "\n".join(lines) + "\n"
+
+
+def assert_csv_matches_reference(grid):
+    # Reports the first differing line; pytest's diff of two long strings
+    # would take minutes.
+    got, want = grid_to_csv(grid).split("\n"), reference_csv(grid).split("\n")
+    line = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+    assert line is None, f"line {line}: {got[line]!r} != {want[line]!r}"
+    assert len(got) == len(want)
+
+
+# Bounds that print in exponent notation, as -0, or with all 12 digits.
+CSV_BOUNDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-05, -1e-05, 1e-13, 3e-13, 1 / 3, -2 / 7, math.pi, 123.456789012345]),
+    st.floats(-1e-4, 1e-4),
+    st.floats(-400.0, 400.0),
+)
+
+
+@PROPERTY
+@given(
+    pair=st.sampled_from(AXIS_PAIRS),
+    fixed=GATES,
+    range1=st.tuples(CSV_BOUNDS, CSV_BOUNDS),
+    range2=st.tuples(CSV_BOUNDS, CSV_BOUNDS),
+    nums=st.tuples(st.integers(2, 40), st.integers(2, 40)),
+)
+@example(("theta1", "phi"), GateParams.ideal(), (0.0, -0.0), (1e-13, 1e-05), (3, 4))
+@example(("theta", "psi_phi_locked"), GateParams.ideal(), (-1e-05, 1 / 3), (1e-13, -0.0), (7, 2))
+def test_grid_csv_equals_per_cell_format(pair, fixed, range1, range2, nums):
+    assert_csv_matches_reference(
+        sweep_grid(AxisSpec(pair[0], *range1, nums[0]), AxisSpec(pair[1], *range2, nums[1]), fixed)
+    )
+
+
+def test_panel_csv_equals_per_cell_format():
+    for panel in ("a", "b", "c"):
+        assert_csv_matches_reference(sweep_grid(*panel_axes(panel, 101)))
