@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,14 @@ DOT1 = "1"
 TWO_DOT_MODES = (DOT0, DOT1)
 THREE_DOT_MODES = (DOT0, DOT0P, DOT1)
 _MODES_BY_DIM = {4: TWO_DOT_MODES, 6: THREE_DOT_MODES}
+# (mode, dim) -> position in a spin block for every supported pair, so that a
+# lookup miss is the validation error; and one read-only identity per dimension.
+_MODE_POSITION = {
+    (mode, dim): pos for dim, modes in _MODES_BY_DIM.items() for pos, mode in enumerate(modes)
+}
+_IDENTITY = {dim: np.eye(dim, dtype=complex) for dim in _MODES_BY_DIM}
+for _eye in _IDENTITY.values():
+    _eye.setflags(write=False)
 
 # Absolute tolerance for all exact-algebra checks (norms, unitarity,
 # probability sums) in double precision.
@@ -70,6 +79,12 @@ def check_angle(field: str, value: float, bound: float = MAX_ANGLE) -> None:
         raise ValidationError(field, f"{value!r} outside [-{bound:g}, {bound:g}]")
 
 
+def check_integer(field: str, value: int) -> None:
+    """Reject a value that is not an int (a bool or a float such as 3.0 too), naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(field, f"{value!r} is not an integer")
+
+
 def check_delta(delta: float) -> None:
     """Reject an input polar angle outside [0, pi]."""
     if not 0.0 <= delta <= math.pi:
@@ -86,10 +101,10 @@ def modes_for_dim(dim: int) -> tuple[str, ...]:
 
 def mode_position(mode: str, dim: int) -> int:
     """Position of `mode` within one spin block of a `dim`-dimensional space."""
-    modes = modes_for_dim(dim)
     try:
-        return modes.index(mode)
-    except ValueError:
+        return _MODE_POSITION[mode, dim]
+    except (KeyError, TypeError):
+        modes = modes_for_dim(dim)
         raise ValidationError(
             "mode", f"unknown mode {mode!r} for dim {dim}, expected one of {modes}"
         ) from None
@@ -115,8 +130,8 @@ class StateVector:
             raise ValidationError(
                 "amplitudes", f"expected a vector of length 4 or 6, got shape {amp.shape}"
             )
-        norm_sq = float(np.sum(np.abs(amp) ** 2))
-        if abs(norm_sq - 1.0) > ATOL:
+        norm_sq = float(np.vdot(amp, amp).real)
+        if not abs(norm_sq - 1.0) <= ATOL:
             raise ValidationError(
                 "amplitudes", f"squared norm {norm_sq!r} deviates from 1 by more than {ATOL}"
             )
@@ -131,6 +146,17 @@ class StateVector:
         return complex(self.amplitudes[basis_index(spin, mode, self.dim)])
 
 
+def check_unitary(m: np.ndarray) -> None:
+    """Reject a square matrix, or a stack of them, unless max |U^dag U - I| <= ATOL.
+
+    Written so that a NaN defect fails: non-finite entries are never unitary.
+    """
+    gram = m.conj().swapaxes(-1, -2) @ m
+    defect = float(np.abs(gram - _IDENTITY[m.shape[-1]]).max())
+    if not defect <= ATOL:
+        raise ValidationError("matrix", f"not unitary, max |U^dag U - I| = {defect:.3e}")
+
+
 @dataclass(frozen=True, eq=False)
 class Unitary:
     """Dense complex square matrix; unitarity is checked at construction."""
@@ -141,9 +167,7 @@ class Unitary:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in _MODES_BY_DIM:
             raise ValidationError("matrix", f"expected a 4x4 or 6x6 matrix, got shape {m.shape}")
-        defect = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
-        if defect > ATOL:
-            raise ValidationError("matrix", f"not unitary, max |U^dag U - I| = {defect:.3e}")
+        check_unitary(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -163,6 +187,18 @@ def identity(dim: int = 4) -> Unitary:
     return Unitary(np.eye(dim, dtype=complex))
 
 
+def _rx_matrix(theta: float, pair: tuple[str, str], dim: int) -> np.ndarray:
+    """Matrix of exp(i theta sigma_x) on the mode pair, identity elsewhere."""
+    pos_a, pos_b = mode_position(pair[0], dim), mode_position(pair[1], dim)
+    c, s = math.cos(theta), 1j * math.sin(theta)
+    m = _IDENTITY[dim].copy()
+    for offset in (0, len(modes_for_dim(dim))):
+        i, j = offset + pos_a, offset + pos_b
+        m[i, i] = m[j, j] = c
+        m[i, j] = m[j, i] = s
+    return m
+
+
 def rx_mode(theta: float, mode_pair: tuple[str, str] = (DOT0, DOT1), dim: int = 4) -> Unitary:
     """Tunneling rotation exp(i theta sigma_x) on a mode pair, identity on spin.
 
@@ -174,22 +210,20 @@ def rx_mode(theta: float, mode_pair: tuple[str, str] = (DOT0, DOT1), dim: int = 
     a, b = mode_pair
     if a == b:
         raise ValidationError("mode_pair", f"modes must be distinct, got {a!r} twice")
-    pos_a, pos_b = mode_position(a, dim), mode_position(b, dim)
-    n_modes = len(modes_for_dim(dim))
-    c, s = math.cos(theta), math.sin(theta)
-    m = np.eye(dim, dtype=complex)
-    for offset in (0, n_modes):
-        i, j = offset + pos_a, offset + pos_b
-        m[i, i] = c
-        m[j, j] = c
-        m[i, j] = 1j * s
-        m[j, i] = 1j * s
-    return Unitary(m)
+    return Unitary(_rx_matrix(theta, mode_pair, dim))
 
 
 def u2_ideal() -> Unitary:
     """Local spin sign flip on dot 0: diag(1, 1, -1, 1), flipping only |down;0>."""
     return Unitary(np.diag([1, 1, -1, 1]).astype(complex))
+
+
+def _u2_matrix(psi: float, phi: float) -> np.ndarray:
+    """Matrix of the conditional phase diag(e^{i(psi-phi/2)}, 1, e^{i(psi+phi/2)}, 1)."""
+    m = _IDENTITY[4].copy()
+    m[0, 0] = cmath.exp(1j * (psi - phi / 2))
+    m[2, 2] = cmath.exp(1j * (psi + phi / 2))
+    return m
 
 
 def u2_general(psi: float, phi: float) -> Unitary:
@@ -198,16 +232,14 @@ def u2_general(psi: float, phi: float) -> Unitary:
     psi is the extra phase tying spin to mode, phi the spin-rotation angle;
     (psi, phi) = (pi/2, pi) recovers the ideal sign flip.
     """
-    return Unitary(
-        np.diag([cmath.exp(1j * (psi - phi / 2)), 1.0, cmath.exp(1j * (psi + phi / 2)), 1.0])
-    )
+    return Unitary(_u2_matrix(psi, phi))
 
 
 def rz_spin(phi: float, mode: str, dim: int = 4) -> Unitary:
     """Spin rotation exp(i phi sigma_z) applied on the target mode only."""
     pos = mode_position(mode, dim)
     n_modes = len(modes_for_dim(dim))
-    m = np.eye(dim, dtype=complex)
+    m = _IDENTITY[dim].copy()
     m[pos, pos] = cmath.exp(1j * phi)
     m[n_modes + pos, n_modes + pos] = cmath.exp(-1j * phi)
     return Unitary(m)
@@ -217,17 +249,23 @@ def compose(gates: list[Unitary] | tuple[Unitary, ...]) -> Unitary:
     """Product of `gates` in time order: the first listed acts first."""
     if not gates:
         raise ValidationError("gates", "need at least one gate to compose")
-    dim = gates[0].dim
-    total = np.eye(dim, dtype=complex)
     for i, gate in enumerate(gates):
-        if gate.dim != dim:
-            raise ValidationError("gates", f"gate {i} has dim {gate.dim}, expected {dim}")
+        if not isinstance(gate, Unitary):
+            raise ValidationError("gates", f"gate {i} is a {type(gate).__name__}, expected a Unitary")
+        if gate.dim != gates[0].dim:
+            raise ValidationError("gates", f"gate {i} has dim {gate.dim}, expected {gates[0].dim}")
+    total = gates[0].matrix
+    for gate in gates[1:]:
         total = gate.matrix @ total
     return Unitary(total)
 
 
 def apply(u: Unitary, s: StateVector) -> StateVector:
     """Act with `u` on `s`; the result re-validates the unit norm."""
+    if not isinstance(u, Unitary):
+        raise ValidationError("u", f"got a {type(u).__name__}, expected a Unitary")
+    if not isinstance(s, StateVector):
+        raise ValidationError("s", f"got a {type(s).__name__}, expected a StateVector")
     if u.dim != s.dim:
         raise ValidationError("dim", f"gate dim {u.dim} does not match state dim {s.dim}")
     return StateVector(u.matrix @ s.amplitudes)

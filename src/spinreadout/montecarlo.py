@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GateParams, SpinInput, ValidationError
+from .core import GateParams, SpinInput, ValidationError, check_integer
 from .protocol import run_readout
 
 # Substream granularity: batch i of a run always covers shots
@@ -81,6 +81,8 @@ def sample_readout(
     the sequence output, then pushes it through the detector channel.  The
     result is a pure function of (inputs, seed).
     """
+    check_integer("shots", shots)
+    check_integer("seed", seed)
     if shots < 1:
         raise ValidationError("shots", f"need at least one shot, got {shots}")
     if seed < 0:

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     ATOL,
     DOT0,
@@ -29,13 +31,15 @@ from .core import (
     StateVector,
     Unitary,
     ValidationError,
+    _rx_matrix,
+    _u2_matrix,
     apply,
     basis_index,
+    check_unitary,
     compose,
     modes_for_dim,
     rx_mode,
     rz_spin,
-    u2_general,
     u2_ideal,
 )
 
@@ -64,14 +68,21 @@ def ideal_sequence() -> Unitary:
 
 def noisy_sequence(params: GateParams) -> Unitary:
     """Two-dot sequence with imperfect gates; reduces to ideal_sequence() at
-    GateParams.ideal()."""
-    return compose(
+    GateParams.ideal().
+
+    Equal to compose([rx_mode(theta1), u2_general(psi, phi), rx_mode(theta2)]):
+    the three gates are built as one stack and checked for unitarity in one
+    batched call, and their product is checked again as a Unitary.
+    """
+    gates = np.array(
         [
-            rx_mode(params.theta1, (DOT0, DOT1), 4),
-            u2_general(params.psi, params.phi),
-            rx_mode(params.theta2, (DOT0, DOT1), 4),
+            _rx_matrix(params.theta1, (DOT0, DOT1), 4),
+            _u2_matrix(params.psi, params.phi),
+            _rx_matrix(params.theta2, (DOT0, DOT1), 4),
         ]
     )
+    check_unitary(gates)
+    return Unitary(gates[2] @ (gates[1] @ gates[0]))
 
 
 def run_readout(spin_in: SpinInput, params: GateParams) -> tuple[StateVector, ReadoutProbabilities]:

@@ -180,6 +180,13 @@ def test_statevector_rejects_bad_input():
         StateVector(np.array([1.0, 0.0, 0.0]))
 
 
+def test_statevector_rejects_nan_amplitude():
+    # abs(nan - 1) > ATOL is False, so a guard written that way would accept it
+    with pytest.raises(ValidationError, match="amplitudes") as err:
+        StateVector(np.array([math.nan, 0, 0, 0]))
+    assert err.value.field == "amplitudes"
+
+
 def test_statevector_is_immutable():
     state = basis_state("up", "0", 4)
     with pytest.raises(ValueError):
@@ -191,6 +198,39 @@ def test_unitary_rejects_non_unitary_matrix():
         Unitary(np.ones((4, 4)))
     with pytest.raises(ValidationError, match="matrix"):
         Unitary(np.eye(3))
+
+
+def test_unitary_rejects_nan_matrix():
+    with pytest.raises(ValidationError, match="unitary") as err:
+        Unitary(np.full((4, 4), math.nan))
+    assert err.value.field == "matrix"
+
+
+# inf * 0 in U^dag U makes numpy warn before the check rejects the NaN defect.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_unitary_rejects_infinite_matrix():
+    with pytest.raises(ValidationError, match="unitary") as err:
+        Unitary(np.eye(4) * math.inf)
+    assert err.value.field == "matrix"
+
+
+def test_compose_rejects_a_gate_that_is_not_a_unitary():
+    with pytest.raises(ValidationError, match="gate 0 is a ndarray") as err:
+        compose([np.eye(4)])
+    assert err.value.field == "gates"
+    with pytest.raises(ValidationError, match="gate 1") as err:
+        compose([identity(4), np.eye(4)])
+    assert err.value.field == "gates"
+
+
+def test_apply_rejects_a_raw_matrix_or_vector():
+    state = basis_state("up", "0", 4)
+    with pytest.raises(ValidationError, match="Unitary") as err:
+        apply(np.eye(4), state)
+    assert err.value.field == "u"
+    with pytest.raises(ValidationError, match="StateVector") as err:
+        apply(identity(4), state.amplitudes)
+    assert err.value.field == "s"
 
 
 def test_spin_input_domain():

@@ -111,6 +111,25 @@ def test_record_carries_detector_adjusted_probability():
     assert record.analytic_p_up == effective_outcome_probability(dot_occupancy(out, "1"), detector)
 
 
+@pytest.mark.parametrize("shots", [1.5, 1000.0, "1000", True])
+def test_non_integer_shots_are_rejected_before_sampling(shots):
+    with pytest.raises(ValidationError, match="not an integer") as err:
+        sample_readout(SpinInput(1.0), GateParams.ideal(), shots, 1)
+    assert err.value.field == "shots"
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, None, False])
+def test_non_integer_seed_is_rejected_before_sampling(seed):
+    with pytest.raises(ValidationError, match="not an integer") as err:
+        sample_readout(SpinInput(1.0), GateParams.ideal(), 10, seed)
+    assert err.value.field == "seed"
+
+
+def test_numpy_integers_are_accepted_as_shots_and_seed():
+    record = sample_readout(SpinInput(0.0), GateParams.ideal(), np.int64(10), np.uint32(3))
+    assert record == sample_readout(SpinInput(0.0), GateParams.ideal(), 10, 3)
+
+
 def test_input_validation():
     with pytest.raises(ValidationError, match="shots"):
         sample_readout(SpinInput(0.5), GateParams.ideal(), shots=0, seed=1)

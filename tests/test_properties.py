@@ -1,29 +1,45 @@
-"""Property tests of the error-surface identities over finite gate angles, and
-of the grid CSV bytes against a per-cell reference.
+"""Property tests of the error-surface identities over finite gate angles, of
+the gate constructors and readout propagation over the whole angle domain,
+and of the grid CSV bytes against a per-cell reference.
 
 Runs are derandomized, so every run draws the same examples.
 """
 
 import math
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import spinreadout.protocol
 from spinreadout import (
     AxisSpec,
     GateParams,
+    SpinInput,
+    ValidationError,
     avg_abs_error,
+    compose,
     error_coefficients,
     extremal_error,
     measurement_error,
+    noisy_sequence,
     panel_axes,
+    run_readout,
+    rx_mode,
+    rz_spin,
     sweep_grid,
+    u2_general,
 )
 from spinreadout.cli import grid_to_csv
+from spinreadout.core import ATOL, MAX_ANGLE
 
 ANGLES = st.floats(-4 * math.pi, 4 * math.pi)
 GATES = st.builds(GateParams, ANGLES, ANGLES, ANGLES, ANGLES)
 DELTAS = st.floats(0.0, math.pi)
+GATE_ANGLES = st.floats(-MAX_ANGLE, MAX_ANGLE)
+ALL_GATES = st.builds(GateParams, GATE_ANGLES, GATE_ANGLES, GATE_ANGLES, GATE_ANGLES)
+GAMMAS = st.floats(0.0, 2 * math.pi, exclude_max=True)
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 # The gate angles each sweep axis sets from its value v, written out here
@@ -85,6 +101,60 @@ def test_error_slope_is_never_positive(params):
 def test_error_extremes_sit_at_zero_and_pi(params, delta):
     extremes = extremal_error(params)
     assert extremes.e_min <= measurement_error(params, delta) <= extremes.e_max
+
+
+def unitarity_defect(gate):
+    m = gate.matrix
+    return np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
+
+
+@PROPERTY
+@given(GATE_ANGLES, GATE_ANGLES)
+def test_gate_constructors_are_unitary(a, b):
+    gates = [
+        rx_mode(a, ("0", "1"), 4),
+        rx_mode(a, ("0", "0p"), 6),
+        u2_general(a, b),
+        rz_spin(a, "0", 4),
+        rz_spin(a, "1", 6),
+    ]
+    for gate in gates:
+        assert unitarity_defect(gate) <= ATOL
+
+
+@PROPERTY
+@given(ALL_GATES)
+def test_noisy_sequence_equals_composed_gates(params):
+    composed = compose(
+        [
+            rx_mode(params.theta1, ("0", "1"), 4),
+            u2_general(params.psi, params.phi),
+            rx_mode(params.theta2, ("0", "1"), 4),
+        ]
+    )
+    assert np.array_equal(noisy_sequence(params).matrix, composed.matrix)
+
+
+@PROPERTY
+@given(ALL_GATES, DELTAS, GAMMAS)
+def test_run_readout_keeps_the_norm(params, delta, gamma):
+    state, probs = run_readout(SpinInput(delta, gamma), params)
+    assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) <= ATOL
+    assert abs(probs.p_up + probs.p_down - 1.0) <= ATOL
+
+
+def test_noisy_sequence_checks_its_gate_stack(monkeypatch):
+    # The product of three gates scaled by 1.01 is off by far more than ATOL
+    # too, so checking only the product would also fire; scale one gate and
+    # undo the scale on the other so the product stays unitary.
+    rx_matrix = spinreadout.protocol._rx_matrix
+    scales = iter([1.01, 1 / 1.01])
+    monkeypatch.setattr(
+        spinreadout.protocol, "_rx_matrix", lambda *args: next(scales) * rx_matrix(*args)
+    )
+    with pytest.raises(ValidationError, match="not unitary") as err:
+        noisy_sequence(GateParams(0.3, 0.3, 1.0, 2.0))
+    assert err.value.field == "matrix"
 
 
 def reference_csv(grid):
