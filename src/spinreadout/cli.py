@@ -13,7 +13,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from .core import (
     DOT0,
@@ -132,13 +132,7 @@ def _params_from_args(args: argparse.Namespace) -> GateParams:
     explicit = _explicit_angles(args)
     if args.ideal and explicit:
         raise ValidationError("ideal", "--ideal conflicts with explicit gate angle flags")
-    ideal = GateParams.ideal()
-    return GateParams(
-        theta1=explicit.get("theta1", ideal.theta1),
-        theta2=explicit.get("theta2", ideal.theta2),
-        psi=explicit.get("psi", ideal.psi),
-        phi=explicit.get("phi", ideal.phi),
-    )
+    return replace(GateParams.ideal(), **explicit)
 
 
 def _cmd_protocol(args: argparse.Namespace) -> int:

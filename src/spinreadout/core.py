@@ -79,10 +79,19 @@ def check_angle(field: str, value: float, bound: float = MAX_ANGLE) -> None:
         raise ValidationError(field, f"{value!r} outside [-{bound:g}, {bound:g}]")
 
 
-def check_integer(field: str, value: int) -> None:
-    """Reject a value that is not an int (a bool or a float such as 3.0 too), naming the field."""
+def check_integer(field: str, value: int, minimum: int | None = None) -> None:
+    """Reject a value that is not an int (a bool or a float such as 3.0 too), or
+    one below `minimum`, naming the field."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(field, f"{value!r} is not an integer")
+    if minimum is not None and value < minimum:
+        raise ValidationError(field, f"{value!r} must be >= {minimum}")
+
+
+def check_probability(field: str, p: float) -> None:
+    """Reject a probability outside [0, 1], NaN too, naming the field."""
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(field, f"{p!r} outside [0, 1]")
 
 
 def check_delta(delta: float) -> None:

@@ -14,10 +14,11 @@ affine in cos(delta):
     E(delta) = c0 + c1 cos(delta),   c1 = (sin(2 theta1) sin(2 theta2)
                                             sin(psi) sin(phi/2) - 1) / 2 <= 0,
 
-so E is smallest at delta = 0 and largest at delta = pi.  The averaged figure
-of merit Ebar = (1/pi) * int_0^pi |E| d(delta) has an exact piecewise form
-(|E| kinks where c0 + c1 cos(delta) = 0) and is cross-checked by adaptive
-quadrature.  Probabilities are asserted to land in [0, 1], never clamped.
+so E is smallest at delta = 0 and largest at delta = pi.  The code writes the
+formula once, as the array kernel for (c0, c1); p_up = cos^2(delta/2) + E is a
+view of it.  The averaged figure of merit Ebar = (1/pi) * int_0^pi |E| d(delta)
+has an exact piecewise form (|E| kinks where c0 + c1 cos(delta) = 0).
+Probabilities are asserted to land in [0, 1], never clamped.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ATOL, MAX_ANGLE, GateParams, ValidationError, check_angle, check_delta
+from .core import ATOL, MAX_ANGLE, GateParams, ValidationError, check_angle, check_delta, check_integer
 from .protocol import ReadoutProbabilities
-from .quadrature import integrate_adaptive
 
 DEFAULT_RESOLUTION = 101
 DEFAULT_THETA_RANGE = (0.0, math.pi / 2)
@@ -56,18 +56,6 @@ _PANELS = {
     "c": (("theta", DEFAULT_THETA_RANGE), ("psi_phi_locked", DEFAULT_PHASE_RANGE)),
 }
 PANELS = tuple(_PANELS)
-
-
-def probabilities_closed_form(params: GateParams, delta: float) -> ReadoutProbabilities:
-    """Evaluate the closed-form p_up/p_down for an input polar angle delta."""
-    check_delta(delta)
-    a = 0.5 * math.sin(2 * params.theta1) * math.sin(2 * params.theta2) * (
-        1.0
-        + math.cos(params.psi) * math.cos(params.phi / 2)
-        + math.sin(params.psi) * math.sin(params.phi / 2) * math.cos(delta)
-    )
-    diff = params.theta1 - params.theta2
-    return ReadoutProbabilities(p_up=math.sin(diff) ** 2 + a, p_down=math.cos(diff) ** 2 - a)
 
 
 def _coefficients(theta1, theta2, psi, phi):
@@ -97,6 +85,18 @@ def error_coefficients(params: GateParams) -> tuple[float, float]:
     return float(c0), float(c1)
 
 
+def probabilities_closed_form(params: GateParams, delta: float) -> ReadoutProbabilities:
+    """Evaluate the closed-form p_up/p_down for an input polar angle delta.
+
+    p_up = cos^2(delta/2) + c0 + c1 cos(delta), grouped so that it is exactly 0
+    when both tunneling angles are 0 (c0 = c1 = -1/2).
+    """
+    check_delta(delta)
+    c0, c1 = error_coefficients(params)
+    p_up = (c0 + 0.5) + (c1 + 0.5) * math.cos(delta)
+    return ReadoutProbabilities(p_up=p_up, p_down=1.0 - p_up)
+
+
 def measurement_error(params: GateParams, delta: float) -> float:
     """Signed error E = p_up - cos^2(delta/2) of the imperfect apparatus."""
     check_delta(delta)
@@ -104,20 +104,9 @@ def measurement_error(params: GateParams, delta: float) -> float:
     return c0 + c1 * math.cos(delta)
 
 
-def avg_abs_error(params: GateParams, method: str = "analytic") -> float:
-    """Average of |E| over delta uniform on [0, pi].
-
-    "analytic" integrates the affine error piecewise exactly; "quadrature"
-    integrates |E| numerically to absolute tolerance 1e-10 as an independent
-    route.
-    """
-    c0, c1 = error_coefficients(params)
-    if method == "analytic":
-        return float(_ebar(c0, c1))
-    if method == "quadrature":
-        integral = integrate_adaptive(lambda d: abs(c0 + c1 * math.cos(d)), 0.0, math.pi, tol=1e-10)
-        return integral / math.pi
-    raise ValidationError("method", f"unknown method {method!r}, expected analytic or quadrature")
+def avg_abs_error(params: GateParams) -> float:
+    """Average of |E| over delta uniform on [0, pi], integrated piecewise exactly."""
+    return float(_ebar(*error_coefficients(params)))
 
 
 class ExtremalError(NamedTuple):
@@ -146,8 +135,7 @@ class AxisSpec:
             raise ValidationError(
                 "axis", f"unknown axis name {self.name!r}, expected one of {AXIS_NAMES}"
             )
-        if self.num < 2:
-            raise ValidationError("resolution", f"need at least 2 points per axis, got {self.num}")
+        check_integer("resolution", self.num, minimum=2)
         # The axis writes scale * v, so every gate angle it sets stays within MAX_ANGLE.
         bound = MAX_ANGLE / max(scale for _, scale in _AXIS_TARGETS[self.name])
         check_angle("start", self.start, bound)

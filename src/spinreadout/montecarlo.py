@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GateParams, SpinInput, ValidationError, check_integer
+from .core import GateParams, SpinInput, ValidationError, check_integer, check_probability
 from .protocol import run_readout
 
 # Substream granularity: batch i of a run always covers shots
@@ -25,9 +25,8 @@ class DetectorModel:
     false_positive: float = 0.0
 
     def __post_init__(self):
-        for name, p in (("efficiency", self.efficiency), ("false_positive", self.false_positive)):
-            if not 0.0 <= p <= 1.0:
-                raise ValidationError(name, f"{p!r} outside [0, 1]")
+        check_probability("efficiency", self.efficiency)
+        check_probability("false_positive", self.false_positive)
 
     @classmethod
     def ideal(cls) -> "DetectorModel":
@@ -50,16 +49,13 @@ class ShotRecord:
             raise ValidationError(
                 "detected_dot1", f"count {self.detected_dot1} outside [0, {self.shots}]"
             )
-        for name in ("estimated_p_up", "analytic_p_up"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValidationError(name, f"{p!r} outside [0, 1]")
+        check_probability("estimated_p_up", self.estimated_p_up)
+        check_probability("analytic_p_up", self.analytic_p_up)
 
 
 def effective_outcome_probability(p_occupied: float, detector: DetectorModel) -> float:
     """Probability of a reported detection given the occupancy probability."""
-    if not 0.0 <= p_occupied <= 1.0:
-        raise ValidationError("p_occupied", f"{p_occupied!r} outside [0, 1]")
+    check_probability("p_occupied", p_occupied)
     return p_occupied * detector.efficiency + (1.0 - p_occupied) * detector.false_positive
 
 
@@ -81,12 +77,8 @@ def sample_readout(
     the sequence output, then pushes it through the detector channel.  The
     result is a pure function of (inputs, seed).
     """
-    check_integer("shots", shots)
-    check_integer("seed", seed)
-    if shots < 1:
-        raise ValidationError("shots", f"need at least one shot, got {shots}")
-    if seed < 0:
-        raise ValidationError("seed", f"seed must be non-negative, got {seed}")
+    check_integer("shots", shots, minimum=1)
+    check_integer("seed", seed, minimum=0)
     det = detector if detector is not None else DetectorModel.ideal()
 
     p_occupied = run_readout(spin_in, params)[1].p_up

@@ -1,10 +1,13 @@
-"""Adaptive Simpson integration for piecewise-smooth scalar integrands."""
+"""Adaptive Simpson integration for piecewise-smooth scalar integrands, and the
+quadrature route to Ebar that checks the analytic one independently."""
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
-from .core import ValidationError
+from .core import GateParams, ValidationError
+from .error_analysis import error_coefficients
 
 
 def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
@@ -44,3 +47,11 @@ def integrate_adaptive(
     m = 0.5 * (a + b)
     fa, fm, fb = f(a), f(m), f(b)
     return _adapt(f, a, b, fa, fm, fb, _simpson(fa, fm, fb, b - a), tol, max_depth)
+
+
+def avg_abs_error_quadrature(params: GateParams) -> float:
+    """Average of |E| over delta uniform on [0, pi], integrated numerically to
+    absolute tolerance 1e-10: an independent check of `avg_abs_error`."""
+    c0, c1 = error_coefficients(params)
+    integral = integrate_adaptive(lambda d: abs(c0 + c1 * math.cos(d)), 0.0, math.pi, tol=1e-10)
+    return integral / math.pi

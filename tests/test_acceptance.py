@@ -37,6 +37,7 @@ from spinreadout import (
 from spinreadout.cli import grid_to_csv, main
 from spinreadout.error_analysis import panel_axes
 from spinreadout.montecarlo import DetectorModel
+from spinreadout.quadrature import avg_abs_error_quadrature
 
 
 @contextmanager
@@ -125,7 +126,7 @@ def test_criterion_06_average_error_consistency():
         rng = np.random.default_rng(606)
         for _ in range(1000):
             params = random_params(rng)
-            assert abs(avg_abs_error(params) - avg_abs_error(params, "quadrature")) <= 1e-9
+            assert abs(avg_abs_error(params) - avg_abs_error_quadrature(params)) <= 1e-9
         assert avg_abs_error(GateParams.ideal()) <= 1e-12
         for _ in range(20):
             stuck = GateParams(0.0, 0.0, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))

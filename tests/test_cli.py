@@ -96,6 +96,15 @@ def test_protocol_ideal_conflicts_with_explicit_angles(capsys):
     assert "ideal" in err
 
 
+def test_protocol_unset_angles_default_to_ideal(capsys):
+    code, out, _ = run(capsys, ["protocol", "--delta", "1.0", "--psi", "0.3"])
+    assert code == 0
+    ideal = {"theta1": math.pi / 4, "theta2": math.pi / 4, "psi": math.pi / 2, "phi": math.pi}
+    assert json.loads(out)["params"] == {**ideal, "psi": 0.3}
+    code, _, err = run(capsys, ["protocol", "--delta", "1.0", "--phi", "2000", "--theta2", "nan"])
+    assert code == 2 and err.startswith("error: theta2:")
+
+
 def test_errmap_degenerate_ideal_point(capsys):
     code, out, _ = run(
         capsys,

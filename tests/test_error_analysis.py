@@ -20,7 +20,7 @@ from spinreadout import (
     sweep_grid,
 )
 from spinreadout.core import MAX_ANGLE
-from spinreadout.quadrature import integrate_adaptive
+from spinreadout.quadrature import avg_abs_error_quadrature, integrate_adaptive
 
 
 def random_params(rng):
@@ -145,19 +145,14 @@ def test_avg_abs_error_ideal_and_no_tunneling():
     for _ in range(10):
         params = GateParams(0.0, 0.0, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
         assert avg_abs_error(params) == pytest.approx(0.5, abs=1e-12)
-        assert avg_abs_error(params, "quadrature") == pytest.approx(0.5, abs=1e-9)
+        assert avg_abs_error_quadrature(params) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_avg_abs_error_methods_agree():
     rng = np.random.default_rng(15)
     for _ in range(300):
         params = random_params(rng)
-        assert avg_abs_error(params) == pytest.approx(avg_abs_error(params, "quadrature"), abs=1e-9)
-
-
-def test_avg_abs_error_rejects_unknown_method():
-    with pytest.raises(ValidationError, match="method"):
-        avg_abs_error(GateParams.ideal(), "simpson")
+        assert avg_abs_error(params) == pytest.approx(avg_abs_error_quadrature(params), abs=1e-9)
 
 
 def test_avg_abs_error_is_nonnegative_and_periodic():
@@ -203,6 +198,13 @@ def test_sweep_grid_panel_c_applies_locks():
     grid = sweep_grid(axis1, axis2, fixed)
     direct = avg_abs_error(GateParams(0.7, 0.7, 2.5, 5.0))
     assert grid.values[2, 2] == pytest.approx(direct, abs=1e-15)
+
+
+@pytest.mark.parametrize("num", [2.5, 2.0, True])
+def test_non_integer_resolution_is_rejected(num):
+    with pytest.raises(ValidationError, match="not an integer") as err:
+        AxisSpec("theta1", 0, 1, num)
+    assert err.value.field == "resolution"
 
 
 def test_axis_and_grid_validation():

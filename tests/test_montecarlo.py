@@ -130,6 +130,20 @@ def test_numpy_integers_are_accepted_as_shots_and_seed():
     assert record == sample_readout(SpinInput(0.0), GateParams.ideal(), 10, 3)
 
 
+def test_probability_inputs_reject_nan_naming_the_field():
+    cases = [
+        (lambda: DetectorModel(math.nan, 0.0), "efficiency"),
+        (lambda: DetectorModel(1.0, math.nan), "false_positive"),
+        (lambda: ShotRecord(10, 5, 0, math.nan, 0.5), "estimated_p_up"),
+        (lambda: ShotRecord(10, 5, 0, 0.5, math.nan), "analytic_p_up"),
+        (lambda: effective_outcome_probability(math.nan, DetectorModel.ideal()), "p_occupied"),
+    ]
+    for build, field in cases:
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert str(err.value) == f"{field}: nan outside [0, 1]"
+
+
 def test_input_validation():
     with pytest.raises(ValidationError, match="shots"):
         sample_readout(SpinInput(0.5), GateParams.ideal(), shots=0, seed=1)

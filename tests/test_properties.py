@@ -33,6 +33,7 @@ from spinreadout import (
 )
 from spinreadout.cli import grid_to_csv
 from spinreadout.core import ATOL, MAX_ANGLE
+from spinreadout.quadrature import avg_abs_error_quadrature
 
 ANGLES = st.floats(-4 * math.pi, 4 * math.pi)
 GATES = st.builds(GateParams, ANGLES, ANGLES, ANGLES, ANGLES)
@@ -81,7 +82,7 @@ def test_grid_nodes_equal_scalar_ebar(pair, fixed, range1, range2, nums):
 @PROPERTY
 @given(GATES)
 def test_analytic_ebar_matches_quadrature(params):
-    assert abs(avg_abs_error(params) - avg_abs_error(params, "quadrature")) <= 1e-9
+    assert abs(avg_abs_error(params) - avg_abs_error_quadrature(params)) <= 1e-9
 
 
 @PROPERTY
