@@ -49,6 +49,7 @@ from .montecarlo import DetectorModel, sample_readout
 from .protocol import occupancies, run_readout, three_dot_sequence
 
 _ANGLE_FLAGS = ("theta1", "theta2", "psi", "phi")
+_THREE_DOT_FIXED = dict.fromkeys(_ANGLE_FLAGS, "the three-dot variant runs fixed ideal gates only")
 
 # Report labels of the two-dot output amplitudes, label -> (spin, mode): f on
 # dot 0, g on dot 1; the three-dot report labels each amplitude "spin;mode".
@@ -120,35 +121,33 @@ def _parse_segments(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(segments)
 
 
-def _explicit_angles(args: argparse.Namespace) -> dict[str, float]:
-    return {
-        name: getattr(args, name)
-        for name in _ANGLE_FLAGS
-        if getattr(args, name) is not None
-    }
+def _params_from_args(args: argparse.Namespace, fixed: dict[str, str]) -> GateParams:
+    """The gate set from the gate flags, ideal where no flag is given.
 
-
-def _params_from_args(args: argparse.Namespace) -> GateParams:
-    explicit = _explicit_angles(args)
+    `fixed` maps each gate the command sets itself to the reason a flag for
+    it is an error, so every gate flag is either applied or rejected.
+    """
+    explicit = {}
+    for name in _ANGLE_FLAGS:
+        value = getattr(args, name)
+        if value is not None:
+            if name in fixed:
+                raise ValidationError(name, fixed[name])
+            explicit[name] = value
     if args.ideal and explicit:
-        raise ValidationError("ideal", "--ideal conflicts with explicit gate angle flags")
+        raise ValidationError("ideal", "conflicts with explicit gate angle flags")
     return replace(GateParams.ideal(), **explicit)
 
 
-def _cmd_protocol(args: argparse.Namespace) -> int:
+def _cmd_protocol(args: argparse.Namespace) -> str:
     spin_in = SpinInput(args.delta, args.gamma)
     three_dot = args.variant == "three-dot"
+    params = _params_from_args(args, _THREE_DOT_FIXED if three_dot else {})
     report = {"variant": args.variant, "input": {"delta": args.delta, "gamma": args.gamma}}
     if three_dot:
-        explicit = _explicit_angles(args)
-        if explicit:
-            raise ValidationError(
-                next(iter(explicit)), "the three-dot variant runs fixed ideal gates only"
-            )
         state = apply(three_dot_sequence(), spin_in.to_state(6))
         labels = {f"{spin};{mode}": (spin, mode) for spin in SPINS for mode in THREE_DOT_MODES}
     else:
-        params = _params_from_args(args)
         report["params"] = asdict(params)
         state, _ = run_readout(spin_in, params)
         labels = _TWO_DOT_LABELS
@@ -161,11 +160,10 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
     report["p_down"] = occ[DOT0P if three_dot else DOT0]
     if three_dot:
         report["unconverted"] = occ[DOT0]
-    _emit(json.dumps(report, indent=2) + "\n", args.output)
-    return 0
+    return json.dumps(report, indent=2) + "\n"
 
 
-def _cmd_errmap(args: argparse.Namespace) -> int:
+def _cmd_errmap(args: argparse.Namespace) -> str:
     range1 = _parse_range(args.range1, "range1") if args.range1 else None
     range2 = _parse_range(args.range2, "range2") if args.range2 else None
     if args.panel == "custom":
@@ -175,38 +173,30 @@ def _cmd_errmap(args: argparse.Namespace) -> int:
             raise ValidationError("range1", "panel custom needs --range1 and --range2")
         axis1 = AxisSpec(args.axis1, range1[0], range1[1], args.resolution)
         axis2 = AxisSpec(args.axis2, range2[0], range2[1], args.resolution)
-        fixed = _params_from_args(args)
     else:
         if args.axis1 or args.axis2:
             raise ValidationError("axis1", "--axis1/--axis2 apply to --panel custom only")
-        axis1, axis2, fixed = panel_axes(args.panel, args.resolution, range1, range2)
-    grid = sweep_grid(axis1, axis2, fixed)
-    text = grid_to_csv(grid) if args.format == "csv" else grid_to_json(grid)
-    _emit(text, args.output)
-    return 0
+        axis1, axis2, _ = panel_axes(args.panel, args.resolution, range1, range2)
+    swept = {
+        gate: f"swept by axis {k} of panel {args.panel}"
+        for k, axis in enumerate((axis1, axis2), 1)
+        for gate in axis.gates
+    }
+    grid = sweep_grid(axis1, axis2, _params_from_args(args, swept))
+    return grid_to_csv(grid) if args.format == "csv" else grid_to_json(grid)
 
 
-def _cmd_montecarlo(args: argparse.Namespace) -> int:
+def _cmd_montecarlo(args: argparse.Namespace) -> str:
     spin_in = SpinInput(args.delta, args.gamma)
-    params = _params_from_args(args)
+    params = _params_from_args(args, {})
     detector = DetectorModel(args.efficiency, args.false_positive)
     record = sample_readout(spin_in, params, args.shots, args.seed, detector)
-    _emit(json.dumps(asdict(record), indent=2) + "\n", args.output)
-    return 0
+    return json.dumps(asdict(record), indent=2) + "\n"
 
 
-def _cmd_device(args: argparse.Namespace) -> int:
-    if args.calc == "pulse-angle":
-        text = f"{pulse_angle(PulseSpec(_parse_segments(args.segments)))!r} rad\n"
-    elif args.calc == "pulse-for-angle":
-        text = f"{pulse_for_angle(args.angle, args.duration)!r} ueV\n"
-    elif args.calc == "rashba-length":
-        spec = RashbaSpec(args.alpha, args.mass, args.angle)
-        text = f"{rashba_length(spec)!r} nm\n"
-    else:  # rashba-angle
-        text = f"{rashba_angle(args.alpha, args.mass, args.length)!r} rad\n"
-    _emit(text, args.output)
-    return 0
+def _add_spin_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--delta", type=float, required=True, help="input polar angle in [0, pi]")
+    parser.add_argument("--gamma", type=float, default=0.0, help="input relative phase in [0, 2pi)")
 
 
 def _add_gate_flags(parser: argparse.ArgumentParser) -> None:
@@ -219,13 +209,21 @@ def _add_gate_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--phi", type=float, default=None, help="spin-rotation angle, radians")
 
 
+def _add_material_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--alpha", type=float, required=True, help="spin-orbit coupling, eV*m")
+    parser.add_argument(
+        "--mass", type=float, default=DEFAULT_EFFECTIVE_MASS, help="effective mass, electron masses"
+    )
+
+
 def _add_output_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", default=None, help="write here instead of stdout")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process and reused by `main`."""
+    """The command-line parser, built once per process and reused by `main`;
+    each command names its handler, which maps the parsed flags to the report."""
     parser = argparse.ArgumentParser(
         prog="spinreadout",
         description="Simulate single-spin readout by spin-to-charge conversion.",
@@ -234,10 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     proto = sub.add_parser("protocol", help="run a readout sequence, report the outcome")
     proto.add_argument("--variant", choices=("two-dot", "three-dot"), default="two-dot")
-    proto.add_argument("--delta", type=float, required=True, help="input polar angle in [0, pi]")
-    proto.add_argument("--gamma", type=float, default=0.0, help="input relative phase in [0, 2pi)")
+    _add_spin_flags(proto)
     _add_gate_flags(proto)
     _add_output_flag(proto)
+    proto.set_defaults(handler=_cmd_protocol)
 
     errmap = sub.add_parser("errmap", help="sweep the averaged readout error over two gate angles")
     errmap.add_argument("--panel", choices=("a", "b", "c", "custom"), default="a")
@@ -249,10 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gate_flags(errmap)
     errmap.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_output_flag(errmap)
+    errmap.set_defaults(handler=_cmd_errmap)
 
     mc = sub.add_parser("montecarlo", help="sample single-shot detector statistics")
-    mc.add_argument("--delta", type=float, required=True, help="input polar angle in [0, pi]")
-    mc.add_argument("--gamma", type=float, default=0.0, help="input relative phase in [0, 2pi)")
+    _add_spin_flags(mc)
     _add_gate_flags(mc)
     mc.add_argument("--shots", type=int, required=True, help="number of single-shot readouts")
     mc.add_argument("--seed", type=int, default=0, help="RNG seed")
@@ -261,6 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--false-positive", type=float, default=0.0, help="detector false-positive rate in [0, 1]"
     )
     _add_output_flag(mc)
+    mc.set_defaults(handler=_cmd_montecarlo)
 
     device = sub.add_parser("device", help="pulse-area and spin-orbit length calculators")
     calc = device.add_subparsers(dest="calc", required=True)
@@ -270,37 +269,31 @@ def build_parser() -> argparse.ArgumentParser:
         "--segments", required=True, help="comma-separated AMP_UEV:DURATION_PS segments"
     )
     _add_output_flag(p_angle)
+    p_angle.set_defaults(
+        handler=lambda a: f"{pulse_angle(PulseSpec(_parse_segments(a.segments)))!r} rad\n"
+    )
 
     p_for = calc.add_parser("pulse-for-angle", help="constant amplitude for a target angle")
     p_for.add_argument("--angle", type=float, required=True, help="target rotation, radians")
     p_for.add_argument("--duration", type=float, required=True, help="pulse duration, ps")
     _add_output_flag(p_for)
+    p_for.set_defaults(handler=lambda a: f"{pulse_for_angle(a.angle, a.duration)!r} ueV\n")
 
     r_len = calc.add_parser("rashba-length", help="region length for a target spin rotation")
-    r_len.add_argument("--alpha", type=float, required=True, help="spin-orbit coupling, eV*m")
-    r_len.add_argument(
-        "--mass", type=float, default=DEFAULT_EFFECTIVE_MASS, help="effective mass, electron masses"
-    )
+    _add_material_flags(r_len)
     r_len.add_argument("--angle", type=float, required=True, help="target spin rotation, radians")
     _add_output_flag(r_len)
+    r_len.set_defaults(
+        handler=lambda a: f"{rashba_length(RashbaSpec(a.alpha, a.mass, a.angle))!r} nm\n"
+    )
 
     r_ang = calc.add_parser("rashba-angle", help="spin rotation accumulated over a region length")
-    r_ang.add_argument("--alpha", type=float, required=True, help="spin-orbit coupling, eV*m")
-    r_ang.add_argument(
-        "--mass", type=float, default=DEFAULT_EFFECTIVE_MASS, help="effective mass, electron masses"
-    )
+    _add_material_flags(r_ang)
     r_ang.add_argument("--length", type=float, required=True, help="region length, nm")
     _add_output_flag(r_ang)
+    r_ang.set_defaults(handler=lambda a: f"{rashba_angle(a.alpha, a.mass, a.length)!r} rad\n")
 
     return parser
-
-
-_DISPATCH = {
-    "protocol": _cmd_protocol,
-    "errmap": _cmd_errmap,
-    "montecarlo": _cmd_montecarlo,
-    "device": _cmd_device,
-}
 
 
 _LIST_FLAGS = ("--segments", "--range1", "--range2")
@@ -325,7 +318,8 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_normalize_argv(list(argv)))
     try:
-        return _DISPATCH[args.command](args)
+        _emit(args.handler(args), args.output)
+        return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ operations are pure, so everything here is safe to share across threads.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -33,10 +34,12 @@ DOT1 = "1"
 TWO_DOT_MODES = (DOT0, DOT1)
 THREE_DOT_MODES = (DOT0, DOT0P, DOT1)
 _MODES_BY_DIM = {4: TWO_DOT_MODES, 6: THREE_DOT_MODES}
-# (mode, dim) -> position in a spin block for every supported pair, so that a
-# lookup miss is the validation error; and one read-only identity per dimension.
-_MODE_POSITION = {
-    (mode, dim): pos for dim, modes in _MODES_BY_DIM.items() for pos, mode in enumerate(modes)
+# The spin-major layout, (spin, mode, dim) -> flat index, so that a lookup miss
+# is the validation error; and one read-only identity per dimension.
+_BASIS_INDEX = {
+    (spin, mode, dim): index
+    for dim, modes in _MODES_BY_DIM.items()
+    for index, (spin, mode) in enumerate(itertools.product(SPINS, modes))
 }
 _IDENTITY = {dim: np.eye(dim, dtype=complex) for dim in _MODES_BY_DIM}
 for _eye in _IDENTITY.values():
@@ -79,12 +82,12 @@ def check_angle(field: str, value: float, bound: float = MAX_ANGLE) -> None:
         raise ValidationError(field, f"{value!r} outside [-{bound:g}, {bound:g}]")
 
 
-def check_integer(field: str, value: int, minimum: int | None = None) -> None:
+def check_integer(field: str, value: int, minimum: int) -> None:
     """Reject a value that is not an int (a bool or a float such as 3.0 too), or
     one below `minimum`, naming the field."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(field, f"{value!r} is not an integer")
-    if minimum is not None and value < minimum:
+    if value < minimum:
         raise ValidationError(field, f"{value!r} must be >= {minimum}")
 
 
@@ -108,23 +111,16 @@ def modes_for_dim(dim: int) -> tuple[str, ...]:
         raise ValidationError("dim", f"unsupported dimension {dim}, expected 4 or 6") from None
 
 
-def mode_position(mode: str, dim: int) -> int:
-    """Position of `mode` within one spin block of a `dim`-dimensional space."""
-    try:
-        return _MODE_POSITION[mode, dim]
-    except (KeyError, TypeError):
-        modes = modes_for_dim(dim)
-        raise ValidationError(
-            "mode", f"unknown mode {mode!r} for dim {dim}, expected one of {modes}"
-        ) from None
-
-
 def basis_index(spin: str, mode: str, dim: int = 4) -> int:
     """Flat index of |spin; mode> under the spin-major ordering."""
+    try:
+        return _BASIS_INDEX[spin, mode, dim]
+    except (KeyError, TypeError):
+        pass
     if spin not in SPINS:
         raise ValidationError("spin", f"unknown spin {spin!r}, expected 'up' or 'down'")
-    n_modes = len(modes_for_dim(dim))
-    return (0 if spin == SPIN_UP else 1) * n_modes + mode_position(mode, dim)
+    modes = modes_for_dim(dim)
+    raise ValidationError("mode", f"unknown mode {mode!r} for dim {dim}, expected one of {modes}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,11 +194,11 @@ def identity(dim: int = 4) -> Unitary:
 
 def _rx_matrix(theta: float, pair: tuple[str, str], dim: int) -> np.ndarray:
     """Matrix of exp(i theta sigma_x) on the mode pair, identity elsewhere."""
-    pos_a, pos_b = mode_position(pair[0], dim), mode_position(pair[1], dim)
+    # The pair's indices in each spin block; a bad mode or dim fails here.
+    blocks = [(basis_index(spin, pair[0], dim), basis_index(spin, pair[1], dim)) for spin in SPINS]
     c, s = math.cos(theta), 1j * math.sin(theta)
     m = _IDENTITY[dim].copy()
-    for offset in (0, len(modes_for_dim(dim))):
-        i, j = offset + pos_a, offset + pos_b
+    for i, j in blocks:
         m[i, i] = m[j, j] = c
         m[i, j] = m[j, i] = s
     return m
@@ -246,11 +242,10 @@ def u2_general(psi: float, phi: float) -> Unitary:
 
 def rz_spin(phi: float, mode: str, dim: int = 4) -> Unitary:
     """Spin rotation exp(i phi sigma_z) applied on the target mode only."""
-    pos = mode_position(mode, dim)
-    n_modes = len(modes_for_dim(dim))
+    up, down = basis_index(SPIN_UP, mode, dim), basis_index(SPIN_DOWN, mode, dim)
     m = _IDENTITY[dim].copy()
-    m[pos, pos] = cmath.exp(1j * phi)
-    m[n_modes + pos, n_modes + pos] = cmath.exp(-1j * phi)
+    m[up, up] = cmath.exp(1j * phi)
+    m[down, down] = cmath.exp(-1j * phi)
     return Unitary(m)
 
 

@@ -141,6 +141,11 @@ class AxisSpec:
         check_angle("start", self.start, bound)
         check_angle("stop", self.stop, bound)
 
+    @property
+    def gates(self) -> tuple[str, ...]:
+        """The gate angles this axis writes."""
+        return tuple(gate for gate, _ in _AXIS_TARGETS[self.name])
+
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.num)
 
@@ -173,7 +178,7 @@ def sweep_grid(axis1: AxisSpec, axis2: AxisSpec, fixed: GateParams) -> ErrorGrid
     Axis 1 runs down the rows and axis 2 along the columns, so the values are
     row-major with axis 1 slowest.
     """
-    shared = {g for g, _ in _AXIS_TARGETS[axis1.name]} & {g for g, _ in _AXIS_TARGETS[axis2.name]}
+    shared = ", ".join(gate for gate in axis1.gates if gate in axis2.gates)
     if shared:
         raise ValidationError("axis2", f"axis {axis2.name!r} overlaps axis {axis1.name!r} on {shared}")
     gates = asdict(fixed)

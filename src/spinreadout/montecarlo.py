@@ -81,7 +81,9 @@ def sample_readout(
     check_integer("seed", seed, minimum=0)
     det = detector if detector is not None else DetectorModel.ideal()
 
-    p_occupied = run_readout(spin_in, params)[1].p_up
+    # p_up may stray outside [0, 1] by rounding (ReadoutProbabilities allows
+    # ATOL); the uniforms lie in [0, 1), so clamping changes no draw.
+    p_occupied = min(max(run_readout(spin_in, params)[1].p_up, 0.0), 1.0)
 
     detected = 0
     done = 0

@@ -129,10 +129,9 @@ def three_dot_sequence() -> Unitary:
 
 def dot_occupancy(state: StateVector, mode: str) -> float:
     """Probability of finding the particle in `mode`, summed over spin."""
-    total = 0.0
-    for spin in (SPIN_UP, SPIN_DOWN):
-        total += abs(state.amplitudes[basis_index(spin, mode, state.dim)]) ** 2
-    return total
+    amp, dim = state.amplitudes, state.dim
+    up, down = basis_index(SPIN_UP, mode, dim), basis_index(SPIN_DOWN, mode, dim)
+    return abs(amp[up]) ** 2 + abs(amp[down]) ** 2
 
 
 def occupancies(state: StateVector) -> dict[str, float]:

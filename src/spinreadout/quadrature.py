@@ -9,6 +9,9 @@ from typing import Callable
 from .core import GateParams, ValidationError
 from .error_analysis import error_coefficients
 
+# Deepest interval halving; a piece this small is accepted as it stands.
+_MAX_DEPTH = 60
+
 
 def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
     return width * (fa + 4.0 * fm + fb) / 6.0
@@ -30,9 +33,7 @@ def _adapt(f, a, b, fa, fm, fb, whole, tol, depth):
     )
 
 
-def integrate_adaptive(
-    f: Callable[[float], float], a: float, b: float, tol: float = 1e-10, max_depth: int = 60
-) -> float:
+def integrate_adaptive(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10) -> float:
     """Integrate f over [a, b] to absolute tolerance `tol`.
 
     Interval halving concentrates nodes around non-smooth points, so
@@ -46,7 +47,7 @@ def integrate_adaptive(
         return 0.0
     m = 0.5 * (a + b)
     fa, fm, fb = f(a), f(m), f(b)
-    return _adapt(f, a, b, fa, fm, fb, _simpson(fa, fm, fb, b - a), tol, max_depth)
+    return _adapt(f, a, b, fa, fm, fb, _simpson(fa, fm, fb, b - a), tol, _MAX_DEPTH)
 
 
 def avg_abs_error_quadrature(params: GateParams) -> float:

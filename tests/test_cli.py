@@ -283,6 +283,49 @@ def test_validation_error_names_field_once(capsys, argv, field):
     assert err.startswith(f"error: {field}: ") and err.count(field) == 1
 
 
+TWO_PI = "6.283185307179586"
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["errmap", "--panel", "a", "--theta1", "0.3"], "theta1"),
+        (["errmap", "--panel", "a", "--theta1", "nan"], "theta1"),
+        (["errmap", "--panel", "a", "--psi", "inf"], "psi"),
+        (["errmap", "--panel", "c", "--phi", "0.3"], "phi"),
+        (["errmap", "--panel", "c", "--theta2", "0.3"], "theta2"),
+        (["errmap", "--panel", "b", "--ideal", "--theta1", "0.2"], "ideal"),
+        (["errmap", "--panel", "a", "--resolution", "2", "--theta1", "nan", "--psi", "inf", "--ideal"],
+         "theta1"),
+        (["errmap", "--panel", "custom", "--axis1", "theta1", "--axis2", "phi",
+          "--range1", "0,1", "--range2", "0,1", "--theta1", "0.7"], "theta1"),
+        (["errmap", "--panel", "custom", "--axis1", "theta", "--axis2", "psi",
+          "--range1", "0,1", "--range2", "0,1", "--theta2", "0.7"], "theta2"),
+        (["protocol", "--variant", "three-dot", "--delta", "1", "--psi", "0.2"], "psi"),
+    ],
+)
+def test_gate_flag_is_applied_or_rejected(capsys, tmp_path, argv, field):
+    # A flag on a gate the command sets itself, a non-finite flag and a flag
+    # beside --ideal each exit 2 before any output.
+    path = tmp_path / "out"
+    code, out, err = run(capsys, argv + ["--output", str(path)])
+    assert code == 2 and out == "" and not path.exists()
+    assert err.startswith(f"error: {field}: ") and err.count(field) == 1 and err.count("\n") == 1
+
+
+def test_errmap_preset_panel_honours_non_swept_flag(capsys):
+    code, flagged, _ = run(capsys, ["errmap", "--panel", "b", "--resolution", "5", "--theta1", "0.5"])
+    assert code == 0
+    code, custom, _ = run(
+        capsys,
+        ["errmap", "--panel", "custom", "--axis1", "psi", "--axis2", "phi", "--range1", f"0,{TWO_PI}",
+         "--range2", f"0,{TWO_PI}", "--resolution", "5", "--theta1", "0.5"],
+    )
+    assert code == 0 and flagged == custom
+    code, ideal, _ = run(capsys, ["errmap", "--panel", "b", "--resolution", "5"])
+    assert code == 0 and ideal != flagged
+
+
 def test_errmap_validation_failure_leaves_no_file(capsys, tmp_path):
     path = tmp_path / "never.csv"
     code, _, _ = run(capsys, ["errmap", "--range1", "nope", "--output", str(path)])

@@ -230,6 +230,13 @@ def test_axis_and_grid_validation():
         sweep_grid(AxisSpec("theta", 0, 1, 2), AxisSpec("psi_phi_locked", 0, 1e308, 2), GateParams.ideal())
 
 
+def test_axis_gates_and_overlap_message_are_ordered():
+    assert AxisSpec("psi_phi_locked", 0, 1, 2).gates == ("psi", "phi")
+    # The message lists the shared gates in axis order, whatever the hash seed.
+    with pytest.raises(ValidationError, match=r"on theta1, theta2$"):
+        sweep_grid(AxisSpec("theta", 0, 1, 2), AxisSpec("theta", 0, 1, 2), GateParams.ideal())
+
+
 def test_adaptive_quadrature_known_integrals():
     assert integrate_adaptive(math.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
     # kinked integrand, the case the error average needs

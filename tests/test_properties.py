@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import spinreadout.protocol
 from spinreadout import (
     AxisSpec,
+    DetectorModel,
     GateParams,
     SpinInput,
     ValidationError,
@@ -27,6 +28,7 @@ from spinreadout import (
     panel_axes,
     run_readout,
     rx_mode,
+    sample_readout,
     rz_spin,
     sweep_grid,
     u2_general,
@@ -41,6 +43,8 @@ DELTAS = st.floats(0.0, math.pi)
 GATE_ANGLES = st.floats(-MAX_ANGLE, MAX_ANGLE)
 ALL_GATES = st.builds(GateParams, GATE_ANGLES, GATE_ANGLES, GATE_ANGLES, GATE_ANGLES)
 GAMMAS = st.floats(0.0, 2 * math.pi, exclude_max=True)
+PROBABILITIES = st.floats(0.0, 1.0)
+DETECTORS = st.builds(DetectorModel, PROBABILITIES, PROBABILITIES)
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 # The gate angles each sweep axis sets from its value v, written out here
@@ -142,6 +146,19 @@ def test_run_readout_keeps_the_norm(params, delta, gamma):
     state, probs = run_readout(SpinInput(delta, gamma), params)
     assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) <= ATOL
     assert abs(probs.p_up + probs.p_down - 1.0) <= ATOL
+
+
+@PROPERTY
+@given(ALL_GATES, DELTAS, GAMMAS, DETECTORS, st.integers(0, 2**63))
+# p_up of this gate set rounds to 1 + 4.4e-16, within ATOL of 1.
+@example(GateParams(-3.9269908169872414, -3.9269908169872414, math.pi / 2, math.pi),
+         0.0, 0.0, DetectorModel.ideal(), 0)
+def test_sample_readout_accepts_every_valid_input(params, delta, gamma, detector, seed):
+    record = sample_readout(SpinInput(delta, gamma), params, 10, seed, detector)
+    assert 0 <= record.detected_dot1 <= 10 and record.seed == seed
+    p_up = run_readout(SpinInput(delta, gamma), params)[1].p_up
+    expected = p_up * detector.efficiency + (1.0 - p_up) * detector.false_positive
+    assert abs(record.analytic_p_up - expected) <= ATOL
 
 
 def test_noisy_sequence_checks_its_gate_stack(monkeypatch):
