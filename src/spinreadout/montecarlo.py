@@ -10,9 +10,9 @@ import numpy as np
 from .core import GateParams, SpinInput, ValidationError, check_integer, check_probability
 from .protocol import run_readout
 
-# Substream granularity: batch i of a run always covers shots
-# [i*BATCH_SHOTS, (i+1)*BATCH_SHOTS) from its own generator, so partial sums
-# agree between serial and parallel execution.
+# Common-random-numbers contract: batch i covers shots
+# [i*BATCH_SHOTS, (i+1)*BATCH_SHOTS) and draws (2, count) uniforms from the
+# substream (seed, i); row 0 decides occupancy, row 1 the detector.
 BATCH_SHOTS = 8192
 
 
@@ -74,8 +74,13 @@ def sample_readout(
     """Simulate `shots` single-shot readouts of the monitored dot 1.
 
     Each shot draws the charge presence from the Born-rule dot-1 occupancy of
-    the sequence output, then pushes it through the detector channel.  The
-    result is a pure function of (inputs, seed).
+    the sequence output, then pushes it through the detector channel.  Shot
+    k of batch i takes the uniforms (u0, u1) from column k of that batch's
+    draw (see BATCH_SHOTS): the dot is occupied when u0 < p_occupied, and a
+    detection is reported when u1 < efficiency for an occupied dot or
+    u1 < false_positive for an empty one.  The result is a pure function of
+    (inputs, seed), and at a fixed seed the count never falls as the
+    efficiency or the false-positive rate rises.
     """
     check_integer("shots", shots, minimum=1)
     check_integer("seed", seed, minimum=0)
@@ -92,8 +97,8 @@ def sample_readout(
         count = min(BATCH_SHOTS, shots - done)
         u = _batch_rng(seed, batch_index).random((2, count))
         occupied = u[0] < p_occupied
-        reported = np.where(occupied, u[1] < det.efficiency, u[1] < det.false_positive)
-        detected += int(np.count_nonzero(reported))
+        detected += int(np.count_nonzero(occupied & (u[1] < det.efficiency)))
+        detected += int(np.count_nonzero(~occupied & (u[1] < det.false_positive)))
         done += count
         batch_index += 1
     analytic_p_up = effective_outcome_probability(p_occupied, det)

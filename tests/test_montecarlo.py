@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from spinreadout import (
     noisy_sequence,
     sample_readout,
 )
+from spinreadout.cli import main
 from spinreadout.montecarlo import BATCH_SHOTS
 
 
@@ -37,6 +39,25 @@ def test_same_seed_reproduces_record():
     record = sample_readout(**kwargs)
     assert record == sample_readout(**kwargs)
     assert sample_readout(**{**kwargs, "seed": 43}).detected_dot1 != record.detected_dot1
+
+
+def test_seeded_counts_are_pinned(capsys):
+    # Counts of the common-random-numbers draws, fixed so that any change to a
+    # draw, to the batch split or to the per-shot rule shows here.
+    cases = [
+        (SpinInput(1.1, 0.4), GateParams(0.7, 0.8, 1.5, 3.0), 20_000, 42, DetectorModel(0.93, 0.04), 13722),
+        (SpinInput(math.pi / 3), GateParams.ideal(), BATCH_SHOTS + 1, 5, DetectorModel(0.6, 0.0), 3718),
+        (SpinInput(math.pi / 2), GateParams.ideal(), 3 * BATCH_SHOTS + 5, 7, DetectorModel.ideal(), 12289),
+        (SpinInput(2.0, 1.0), GateParams(0.3, 1.2, 2.0, 0.5), BATCH_SHOTS, 2**40, DetectorModel(0.0, 1.0), 2360),
+        (SpinInput(0.9), GateParams(1.0, 0.4, 0.2, 4.0), 1, 0, DetectorModel(0.5, 0.5), 1),
+    ]
+    for spin, params, shots, seed, detector, detected in cases:
+        assert sample_readout(spin, params, shots, seed, detector).detected_dot1 == detected
+
+    argv = ["montecarlo", "--delta", "1.2", "--shots", "1000000", "--seed", "99",
+            "--efficiency", "0.9", "--false-positive", "0.05"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["detected_dot1"] == 629140
 
 
 def test_equal_superposition_statistics():

@@ -1,6 +1,8 @@
 """Property tests of the error-surface identities over finite gate angles, of
 the gate constructors and readout propagation over the whole angle domain,
-and of the grid CSV bytes against a per-cell reference.
+of the Monte Carlo counts against a per-shot reference and their
+common-random-numbers monotonicity, and of the grid CSV bytes against a
+per-cell reference.
 
 Runs are derandomized, so every run draws the same examples.
 """
@@ -35,6 +37,7 @@ from spinreadout import (
 )
 from spinreadout.cli import grid_to_csv
 from spinreadout.core import ATOL, MAX_ANGLE
+from spinreadout.montecarlo import BATCH_SHOTS, _batch_rng
 from spinreadout.quadrature import avg_abs_error_quadrature
 
 ANGLES = st.floats(-4 * math.pi, 4 * math.pi)
@@ -159,6 +162,66 @@ def test_sample_readout_accepts_every_valid_input(params, delta, gamma, detector
     p_up = run_readout(SpinInput(delta, gamma), params)[1].p_up
     expected = p_up * detector.efficiency + (1.0 - p_up) * detector.false_positive
     assert abs(record.analytic_p_up - expected) <= ATOL
+
+
+def reference_detected(p_occupied, shots, seed, detector):
+    """Per-shot `np.where` count over the library's batch draws, written out
+    here apart from `sample_readout`'s counting."""
+    detected = 0
+    for i, start in enumerate(range(0, shots, BATCH_SHOTS)):
+        u = _batch_rng(seed, i).random((2, min(BATCH_SHOTS, shots - start)))
+        occupied = u[0] < p_occupied
+        reported = np.where(occupied, u[1] < detector.efficiency, u[1] < detector.false_positive)
+        detected += int(np.count_nonzero(reported))
+    return detected
+
+
+SHOTS = st.integers(1, 2 * BATCH_SHOTS + 1)
+
+
+@PROPERTY
+@given(ALL_GATES, DELTAS, GAMMAS, DETECTORS, SHOTS, st.integers(0, 2**63))
+@example(GateParams.ideal(), 0.0, 0.0, DetectorModel(0.0, 0.0), 2 * BATCH_SHOTS + 1, 1)
+@example(GateParams.ideal(), 0.0, 0.0, DetectorModel(1.0, 1.0), BATCH_SHOTS + 1, 2)
+@example(GateParams.ideal(), 0.0, 0.0, DetectorModel(0.0, 1.0), BATCH_SHOTS, 3)
+@example(GateParams.ideal(), math.pi, 0.0, DetectorModel(1.0, 0.0), BATCH_SHOTS - 1, 4)
+@example(GateParams.ideal(), math.pi, 0.0, DetectorModel(0.0, 1.0), 1, 2**63)
+# p_up of this gate set rounds to 1 + 4.4e-16, so the clamp is exercised.
+@example(GateParams(-3.9269908169872414, -3.9269908169872414, math.pi / 2, math.pi),
+         0.0, 0.0, DetectorModel(0.3, 0.7), 2 * BATCH_SHOTS + 1, 0)
+def test_sample_readout_count_equals_per_shot_reference(params, delta, gamma, detector, shots, seed):
+    spin = SpinInput(delta, gamma)
+    p_occupied = min(max(run_readout(spin, params)[1].p_up, 0.0), 1.0)
+    record = sample_readout(spin, params, shots, seed, detector)
+    assert record.detected_dot1 == reference_detected(p_occupied, shots, seed, detector)
+
+
+ORDERED_PAIRS = st.tuples(PROBABILITIES, PROBABILITIES).map(sorted)
+
+
+@PROPERTY
+@given(ALL_GATES, DELTAS, GAMMAS, ORDERED_PAIRS, ORDERED_PAIRS, SHOTS, st.integers(0, 2**63))
+def test_counts_never_fall_as_the_detector_reports_more(params, delta, gamma, effs, fps, shots, seed):
+    # One seed means shared uniforms, so a higher rate can only add shots.
+    def count(efficiency, false_positive):
+        detector = DetectorModel(efficiency, false_positive)
+        return sample_readout(SpinInput(delta, gamma), params, shots, seed, detector).detected_dot1
+
+    assert count(effs[0], fps[0]) <= count(effs[1], fps[0]) <= count(effs[1], fps[1])
+    assert count(effs[0], fps[0]) <= count(effs[0], fps[1]) <= count(effs[1], fps[1])
+
+
+@PROPERTY
+@given(st.tuples(DELTAS, DELTAS).map(sorted), GAMMAS, ORDERED_PAIRS, SHOTS, st.integers(0, 2**63))
+def test_counts_never_rise_with_delta_when_efficiency_beats_false_positives(deltas, gamma, rates, shots, seed):
+    # Ideal gates give p_up = cos^2(delta/2), falling in delta; an occupied dot
+    # is reported at least as often as an empty one when efficiency >= false_positive.
+    detector = DetectorModel(rates[1], rates[0])
+    low, high = (
+        sample_readout(SpinInput(delta, gamma), GateParams.ideal(), shots, seed, detector).detected_dot1
+        for delta in deltas
+    )
+    assert high <= low
 
 
 def test_noisy_sequence_checks_its_gate_stack(monkeypatch):
