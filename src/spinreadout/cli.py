@@ -68,13 +68,14 @@ def _complex_json(z: complex) -> dict[str, float]:
 def grid_to_csv(grid: ErrorGrid) -> str:
     """Serialize a grid as `axis1,axis2,Ebar` rows, axis1 slowest, each cell
     reading as format(v, ".12g"), '\\n' line endings."""
-    # One row's template, formatted once: axis 1 as the str.format field {0},
-    # axis 2 written in, Ebar as "%.12g" (the bytes of format(v, ".12g") for
-    # the finite floats a grid holds).  Each row then costs two C-level calls.
-    row = "".join([f"{{0}},{v2:.12g},%.12g\n" for v2 in grid.axis2.values().tolist()])
+    # One row's template, formatted once: axis 1 as the placeholder "\0" (in
+    # no template or .12g text), axis 2 written in, Ebar as "%.12g" (the bytes
+    # of format(v, ".12g") for the finite floats a grid holds).  Each row then
+    # costs a replace and a %, neither of which re-parses format fields.
+    row = "".join([f"\0,{v2:.12g},%.12g\n" for v2 in grid.axis2.values().tolist()])
     lines = ["axis1,axis2,Ebar\n"]
     lines += [
-        row.format(format(v1, ".12g")) % tuple(ebar)
+        row.replace("\0", format(v1, ".12g")) % tuple(ebar)
         for v1, ebar in zip(grid.axis1.values().tolist(), grid.values.tolist())
     ]
     return "".join(lines)
@@ -313,16 +314,30 @@ def _normalize_argv(argv: list[str]) -> list[str]:
     return out
 
 
+def _reject_empty_values(args: argparse.Namespace) -> None:
+    """argparse (Python 3.11) parses `FLAG=--` to an empty list, a value no flag takes."""
+    for name, value in vars(args).items():
+        if value == []:
+            raise ValidationError(name, "expected a value, got '--'")
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit status, whatever the argv: 0 on
+    success, 2 for bad input, 1 when the output cannot be written or memory
+    runs out."""
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_normalize_argv(list(argv)))
     try:
+        args = build_parser().parse_args(_normalize_argv(list(argv)))
+    except SystemExit as exc:  # argparse has printed its usage error (2) or --help (0)
+        return exc.code
+    try:
+        _reject_empty_values(args)
         _emit(args.handler(args), args.output)
         return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1

@@ -15,6 +15,7 @@ to within 2%.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .constants import ELECTRON_MASS_KG, EV_TO_J, HBAR_J_S, HBAR_UEV_PS, m_to_nm, nm_to_m
@@ -65,7 +66,9 @@ class RashbaSpec:
 def pulse_angle(spec: PulseSpec) -> float:
     """Tunneling rotation angle -sum(tau_i * dt_i)/hbar in radians."""
     area = sum(amplitude * duration for amplitude, duration in spec.segments)
-    return -area / HBAR_UEV_PS
+    angle = -area / HBAR_UEV_PS
+    check_finite("angle", angle)
+    return angle
 
 
 def pulse_for_angle(target: float, duration_ps: float) -> float:
@@ -75,7 +78,9 @@ def pulse_for_angle(target: float, duration_ps: float) -> float:
     """
     check_finite("target", target)
     check_positive("duration", duration_ps)
-    return -target * HBAR_UEV_PS / duration_ps
+    amplitude = -target * HBAR_UEV_PS / duration_ps
+    check_finite("amplitude", amplitude)
+    return amplitude
 
 
 def rashba_length(spec: RashbaSpec) -> float:
@@ -93,8 +98,12 @@ def rashba_length(spec: RashbaSpec) -> float:
     """
     mass_kg = spec.effective_mass * ELECTRON_MASS_KG
     alpha_j_m = spec.alpha_ev_m * EV_TO_J
-    length_m = spec.target_angle * HBAR_J_S**2 / (2.0 * mass_kg * alpha_j_m)
-    return m_to_nm(length_m)
+    denominator = 2.0 * mass_kg * alpha_j_m
+    # A subnormal alpha underflows the denominator to 0: the length is out of range.
+    length_m = spec.target_angle * HBAR_J_S**2 / denominator if denominator else math.inf
+    length = m_to_nm(length_m)
+    check_finite("length", length)
+    return length
 
 
 def rashba_angle(alpha_ev_m: float, effective_mass: float, length_nm: float) -> float:
@@ -107,4 +116,6 @@ def rashba_angle(alpha_ev_m: float, effective_mass: float, length_nm: float) -> 
     check_finite("length", length_nm)
     mass_kg = effective_mass * ELECTRON_MASS_KG
     alpha_j_m = alpha_ev_m * EV_TO_J
-    return 2.0 * mass_kg * alpha_j_m * nm_to_m(length_nm) / HBAR_J_S**2
+    angle = 2.0 * mass_kg * alpha_j_m * nm_to_m(length_nm) / HBAR_J_S**2
+    check_finite("angle", angle)
+    return angle

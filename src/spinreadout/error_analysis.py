@@ -33,6 +33,10 @@ from .core import ATOL, MAX_ANGLE, GateParams, ValidationError, check_angle, che
 from .protocol import ReadoutProbabilities
 
 DEFAULT_RESOLUTION = 101
+# Largest grid sweep_grid builds.  An errmap run peaks at about 100 B per node
+# for CSV and 150 B per node for JSON (tracemalloc, 201^2 to 801^2 grids), so
+# 4e6 nodes (2000^2) cap one run at about 0.7 GB (JSON at 2000^2: 693 MB RSS).
+MAX_GRID_NODES = 4_000_000
 DEFAULT_THETA_RANGE = (0.0, math.pi / 2)
 DEFAULT_PHASE_RANGE = (0.0, 2 * math.pi)
 
@@ -74,8 +78,9 @@ def _ebar(c0, c1):
     # Off the kink branch -c0/c1 may be 0/0 or outside [-1, 1]; np.where drops it.
     with np.errstate(divide="ignore", invalid="ignore"):
         kink = np.arccos(np.divide(-c0, c1))
-    left = c0 * kink + c1 * np.sin(kink)
-    right = c0 * (np.pi - kink) - c1 * np.sin(kink)
+    swing = c1 * np.sin(kink)
+    left = c0 * kink + swing
+    right = c0 * (np.pi - kink) - swing
     return np.where(kinked, (np.abs(left) + np.abs(right)) / np.pi, np.abs(c0))
 
 
@@ -176,8 +181,14 @@ def sweep_grid(axis1: AxisSpec, axis2: AxisSpec, fixed: GateParams) -> ErrorGrid
     """Evaluate the averaged error at every node of a two-axis sweep.
 
     Axis 1 runs down the rows and axis 2 along the columns, so the values are
-    row-major with axis 1 slowest.
+    row-major with axis 1 slowest.  A grid of more than MAX_GRID_NODES nodes
+    is rejected before any array is built.
     """
+    nodes = axis1.num * axis2.num
+    if nodes > MAX_GRID_NODES:
+        raise ValidationError(
+            "resolution", f"{axis1.num} x {axis2.num} = {nodes} nodes exceed {MAX_GRID_NODES}"
+        )
     shared = ", ".join(gate for gate in axis1.gates if gate in axis2.gates)
     if shared:
         raise ValidationError("axis2", f"axis {axis2.name!r} overlaps axis {axis1.name!r} on {shared}")

@@ -6,7 +6,11 @@ import warnings
 
 import pytest
 
+import spinreadout.cli
+import spinreadout.montecarlo
 from spinreadout.cli import main
+from spinreadout.error_analysis import AxisSpec
+from spinreadout.montecarlo import MAX_SHOTS
 
 GOLDEN_CSV = (
     "axis1,axis2,Ebar\n"
@@ -340,6 +344,45 @@ def test_errmap_unwritable_path_exits_nonzero(capsys, tmp_path):
     assert not path.exists()
 
 
+def test_errmap_rejects_grid_over_node_limit(capsys, tmp_path, monkeypatch):
+    # The limit is checked before any axis is sampled, so no array is built.
+    monkeypatch.setattr(AxisSpec, "values", lambda self: pytest.fail("an axis was sampled"))
+    path = tmp_path / "grid.csv"
+    code, out, err = run(capsys, ["errmap", "--resolution", "100000", "--output", str(path)])
+    assert code == 2 and out == "" and not path.exists()
+    assert err.startswith("error: resolution: ") and err.count("\n") == 1
+
+
+def test_errmap_resolution_401_runs(capsys):
+    code, out, _ = run(capsys, ["errmap", "--panel", "b", "--resolution", "401"])
+    assert code == 0 and out.count("\n") == 401 * 401 + 1
+
+
+def test_memory_error_exits_1_with_one_line(capsys, tmp_path, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(spinreadout.cli, "sweep_grid", exhausted)
+    path = tmp_path / "grid.csv"
+    code, out, err = run(capsys, GOLDEN_ARGS + ["--output", str(path)])
+    assert code == 1 and out == "" and not path.exists()
+    assert err == "error: out of memory\n"
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["device", "rashba-length", "--alpha", "4e-11", "--angle=--"], "angle"),
+        (["device", "pulse-angle", "--segments", "--"], "segments"),
+        (["errmap", "--panel=--"], "panel"),
+        (["protocol", "--delta=--"], "delta"),
+    ],
+)
+def test_flag_spelt_equals_double_dash_exits_2(capsys, argv, field):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and err.startswith(f"error: {field}: ")
+
+
 def test_montecarlo_deterministic_json(capsys, tmp_path):
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["montecarlo", "--delta", "0", "--ideal", "--shots", "100", "--seed", "11"]
@@ -378,6 +421,12 @@ def test_montecarlo_rejects_zero_shots(capsys):
     code, _, err = run(capsys, ["montecarlo", "--delta", "0", "--shots", "0"])
     assert code == 2
     assert "shots" in err
+
+
+def test_montecarlo_rejects_shots_over_limit(capsys, monkeypatch):
+    monkeypatch.setattr(spinreadout.montecarlo, "_batch_rng", lambda *args: pytest.fail("sampled"))
+    code, out, err = run(capsys, ["montecarlo", "--delta", "1", "--shots", str(MAX_SHOTS + 1)])
+    assert code == 2 and out == "" and err.startswith("error: shots: ")
 
 
 def test_device_rashba_length(capsys):
@@ -440,3 +489,18 @@ def test_device_rejects_malformed_segments(capsys):
     code, _, err = run(capsys, ["device", "pulse-angle", "--segments", "1:2:3"])
     assert code == 2
     assert "segments" in err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["pulse-angle", "--segments", "1e308:1e308"], "angle"),
+        (["pulse-for-angle", "--angle", "1e308", "--duration", "1e-300"], "amplitude"),
+        (["rashba-angle", "--alpha", "1e300", "--length", "1e300"], "angle"),
+        # 2 m* alpha underflows to 0 for a subnormal alpha.
+        (["rashba-length", "--alpha", "1e-320", "--angle", "1"], "length"),
+    ],
+)
+def test_device_rejects_non_finite_output(capsys, argv, field):
+    code, out, err = run(capsys, ["device"] + argv)
+    assert code == 2 and out == "" and err.startswith(f"error: {field}: ")

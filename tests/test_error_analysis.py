@@ -20,6 +20,7 @@ from spinreadout import (
     sweep_grid,
 )
 from spinreadout.core import MAX_ANGLE
+from spinreadout.error_analysis import MAX_GRID_NODES
 from spinreadout.quadrature import avg_abs_error_quadrature, integrate_adaptive
 
 
@@ -235,6 +236,22 @@ def test_axis_gates_and_overlap_message_are_ordered():
     # The message lists the shared gates in axis order, whatever the hash seed.
     with pytest.raises(ValidationError, match=r"on theta1, theta2$"):
         sweep_grid(AxisSpec("theta", 0, 1, 2), AxisSpec("theta", 0, 1, 2), GateParams.ideal())
+
+
+def test_sweep_grid_node_limit_is_checked_before_any_array(monkeypatch):
+    class AxisSampled(Exception):
+        pass
+
+    def sampled(self):
+        raise AxisSampled
+
+    monkeypatch.setattr(AxisSpec, "values", sampled)
+    half = MAX_GRID_NODES // 2
+    with pytest.raises(AxisSampled):  # exactly at the limit the sweep starts
+        sweep_grid(AxisSpec("theta1", 0, 1, 2), AxisSpec("theta2", 0, 1, half), GateParams.ideal())
+    with pytest.raises(ValidationError, match=f"2 x {half + 1} = {2 * half + 2} nodes exceed") as err:
+        sweep_grid(AxisSpec("theta1", 0, 1, 2), AxisSpec("theta2", 0, 1, half + 1), GateParams.ideal())
+    assert err.value.field == "resolution"
 
 
 def test_adaptive_quadrature_known_integrals():

@@ -17,7 +17,8 @@ from spinreadout import (
     sample_readout,
 )
 from spinreadout.cli import main
-from spinreadout.montecarlo import BATCH_SHOTS
+import spinreadout.montecarlo
+from spinreadout.montecarlo import BATCH_SHOTS, MAX_SHOTS
 
 
 def test_deterministic_inputs_give_deterministic_counts():
@@ -176,3 +177,11 @@ def test_input_validation():
         DetectorModel(1.0, -0.1)
     with pytest.raises(ValidationError, match="detected_dot1"):
         ShotRecord(shots=10, detected_dot1=11, seed=0, estimated_p_up=1.0, analytic_p_up=1.0)
+
+
+def test_shots_over_the_limit_are_rejected_before_sampling(monkeypatch):
+    assert MAX_SHOTS >= 10**6
+    monkeypatch.setattr(spinreadout.montecarlo, "_batch_rng", lambda *args: pytest.fail("sampled"))
+    with pytest.raises(ValidationError, match=f"{MAX_SHOTS + 1} exceeds {MAX_SHOTS}") as err:
+        sample_readout(SpinInput(1.0), GateParams.ideal(), MAX_SHOTS + 1, 0)
+    assert err.value.field == "shots"

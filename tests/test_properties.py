@@ -1,13 +1,16 @@
 """Property tests of the error-surface identities over finite gate angles, of
 the gate constructors and readout propagation over the whole angle domain,
 of the Monte Carlo counts against a per-shot reference and their
-common-random-numbers monotonicity, and of the grid CSV bytes against a
-per-cell reference.
+common-random-numbers monotonicity, of the grid CSV bytes against a
+per-cell reference, and of the command line against hostile argv.
 
 Runs are derandomized, so every run draws the same examples.
 """
 
+import contextlib
+import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,9 +38,10 @@ from spinreadout import (
     sweep_grid,
     u2_general,
 )
-from spinreadout.cli import grid_to_csv
+from spinreadout.cli import grid_to_csv, main
 from spinreadout.core import ATOL, MAX_ANGLE
-from spinreadout.montecarlo import BATCH_SHOTS, _batch_rng
+from spinreadout.error_analysis import AXIS_NAMES, MAX_GRID_NODES
+from spinreadout.montecarlo import BATCH_SHOTS, MAX_SHOTS, _batch_rng
 from spinreadout.quadrature import avg_abs_error_quadrature
 
 ANGLES = st.floats(-4 * math.pi, 4 * math.pi)
@@ -285,3 +289,172 @@ def test_grid_csv_equals_per_cell_format(pair, fixed, range1, range2, nums):
 def test_panel_csv_equals_per_cell_format():
     for panel in ("a", "b", "c"):
         assert_csv_matches_reference(sweep_grid(*panel_axes(panel, 101)))
+
+
+# Hostile command-line values: signed zeros, subnormals, values at and past the
+# float range, non-finite spellings, huge integers and junk tokens.  No junk
+# token starts with "--", so none can abbreviate a flag such as --output.
+HUGE = "9" * 40
+HOSTILE = ["0", "-0", "-0.0", "5e-324", "-5e-324", "2.2250738585072014e-308", "1e308", "-1e308",
+           "1.7976931348623157e308", "1e999", "nan", "-nan", "inf", "-inf", "Infinity", HUGE, "-" + HUGE]
+JUNK = ["", "abc", "1,2", "1:2:3", ",", ":", "-", "--", "0x10", "1e", "\u22121", "2.5"]
+HOSTILE_NUMBER = st.one_of(
+    st.sampled_from(HOSTILE + JUNK), st.floats(allow_nan=False, allow_infinity=False).map(repr)
+)
+
+
+# Hypothesis draws the ends of an integer range more often than the values
+# between, so each branch taken one time in N keys on a value inside the range.
+def one_in(draw, n):
+    return draw(st.integers(0, n - 1)) == n // 2
+
+
+@st.composite
+def mostly(draw, valid, hostile):
+    """A flag's text: from `valid` seven times in eight, else from `hostile`."""
+    return draw(hostile if one_in(draw, 8) else valid)
+
+
+def number(lo, hi):
+    return mostly(st.floats(lo, hi).map(repr), HOSTILE_NUMBER)
+
+
+def size(valid, too_big):
+    """A count flag's text: a valid count, or a hostile one (past the limit, huge,
+    negative, not an integer) that the command rejects before any work."""
+    hostile = [str(too_big), HUGE, "-1", "0", "-0", "1e3", "nan"] + JUNK
+    return mostly(valid.map(str), st.sampled_from(hostile))
+
+
+def pair(sep, lo, hi):
+    return mostly(st.tuples(number(lo, hi), number(lo, hi)).map(sep.join), st.sampled_from(JUNK))
+
+
+def choice(values):
+    return mostly(st.sampled_from(values), st.sampled_from(JUNK))
+
+
+# Half of PROPERTY's examples keep the four argv properties near 2.5 s.
+ARGV_PROPERTY = settings(PROPERTY, max_examples=100)
+ANGLE_TEXT = number(-MAX_ANGLE, MAX_ANGLE)
+GATE_FLAGS = {"--ideal": None, **dict.fromkeys(["--theta1", "--theta2", "--psi", "--phi"], ANGLE_TEXT)}
+NON_FINITE = re.compile(r"(?i)\b(nan|inf|infinity)\b")
+
+
+@st.composite
+def command_line(draw, command, required, optional):
+    """`command` with each flag of `required` nine times in ten and of
+    `optional` one time in three, in any order, each spelt `FLAG VALUE` or
+    `FLAG=VALUE` (None marks a switch), and one time in ten a stray junk token."""
+    flags = [f for f in required if not one_in(draw, 10)]
+    flags += [f for f in optional if one_in(draw, 3)]
+    argv = list(command)
+    for flag in draw(st.permutations(flags)):
+        value = {**required, **optional}[flag]
+        if value is None:
+            argv.append(flag)
+        elif draw(st.booleans()):
+            argv.append(f"{flag}={draw(value)}")
+        else:
+            argv += [flag, draw(value)]
+    if one_in(draw, 10):
+        argv.append(draw(st.sampled_from(JUNK)))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv")
+
+
+def check_main(argv, out_dir, to_file):
+    """main returns 0, 1 or 2 without raising; a failure prints nothing on
+    stdout and leaves no file, a success prints finite numbers only."""
+    path = out_dir / "out"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv + ["--output", str(path)] if to_file else argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert stdout.getvalue() == "" and not path.exists() and stderr.getvalue()
+    else:
+        text = path.read_text() if to_file else stdout.getvalue()
+        path.unlink(missing_ok=True)
+        assert text and not NON_FINITE.search(text), text
+
+
+PROTOCOL_ARGV = command_line(
+    ["protocol"],
+    {"--delta": number(0.0, math.pi)},
+    {"--variant": choice(["two-dot", "three-dot"]), "--gamma": number(0.0, 6.28), **GATE_FLAGS},
+)
+RANGE = pair(",", -MAX_ANGLE / 2, MAX_ANGLE / 2)
+GRID_FLAGS = {
+    "--resolution": size(st.integers(2, 50), math.isqrt(MAX_GRID_NODES) + 1),
+    "--format": choice(["csv", "json"]),
+    **GATE_FLAGS,
+}
+ERRMAP_ARGV = st.one_of(
+    command_line(
+        ["errmap"], {}, {"--panel": choice(["a", "b", "c"]), "--range1": RANGE, "--range2": RANGE, **GRID_FLAGS}
+    ),
+    command_line(
+        ["errmap", "--panel", "custom"],
+        {"--axis1": choice(AXIS_NAMES), "--axis2": choice(AXIS_NAMES), "--range1": RANGE, "--range2": RANGE},
+        GRID_FLAGS,
+    ),
+)
+MONTECARLO_ARGV = command_line(
+    ["montecarlo"],
+    {"--delta": number(0.0, math.pi), "--shots": size(st.integers(1, 10**4), MAX_SHOTS + 1)},
+    {
+        "--gamma": number(0.0, 6.28),
+        "--seed": mostly(st.integers(0, 2**64).map(str), st.sampled_from([HUGE, "-1"] + JUNK)),
+        "--efficiency": number(0.0, 1.0),
+        "--false-positive": number(0.0, 1.0),
+        **GATE_FLAGS,
+    },
+)
+SEGMENTS = st.lists(pair(":", -1e3, 1e3), min_size=1, max_size=3).map(",".join)
+DEVICE_ARGV = st.one_of(
+    command_line(["device", "pulse-angle"], {"--segments": SEGMENTS}, {}),
+    command_line(
+        ["device", "pulse-for-angle"], {"--angle": number(-1e3, 1e3), "--duration": number(0.0, 1e3)}, {}
+    ),
+    command_line(["device", "rashba-length"], {"--alpha": number(0.0, 1e-9), "--angle": number(-1e3, 1e3)},
+                 {"--mass": number(0.0, 10.0)}),
+    command_line(["device", "rashba-angle"], {"--alpha": number(0.0, 1e-9), "--length": number(-1e6, 1e6)},
+                 {"--mass": number(0.0, 10.0)}),
+    command_line(["device"], {}, {"abc": HOSTILE_NUMBER}),
+)
+
+
+@ARGV_PROPERTY
+@given(PROTOCOL_ARGV, st.booleans())
+def test_protocol_never_raises_on_any_argv(out_dir, argv, to_file):
+    check_main(argv, out_dir, to_file)
+
+
+@ARGV_PROPERTY
+@given(ERRMAP_ARGV, st.booleans())
+@example(["errmap", "--resolution", "100000"], True)
+def test_errmap_never_raises_on_any_argv(out_dir, argv, to_file):
+    check_main(argv, out_dir, to_file)
+
+
+@ARGV_PROPERTY
+@given(MONTECARLO_ARGV, st.booleans())
+@example(["montecarlo", "--delta", "1", "--shots", str(10**12)], True)
+def test_montecarlo_never_raises_on_any_argv(out_dir, argv, to_file):
+    check_main(argv, out_dir, to_file)
+
+
+@ARGV_PROPERTY
+@given(DEVICE_ARGV, st.booleans())
+@example(["device", "pulse-angle", "--segments", "1e308:1e308"], False)
+@example(["device", "pulse-for-angle", "--angle", "1e308", "--duration", "1e-300"], False)
+@example(["device", "rashba-angle", "--alpha", "1e300", "--length", "1e300"], False)
+@example(["device", "rashba-length", "--alpha", "1e-320", "--angle", "1"], False)
+@example(["device", "rashba-length", "--alpha", "1", "--angle=--"], False)
+def test_device_never_raises_on_any_argv(out_dir, argv, to_file):
+    check_main(argv, out_dir, to_file)
