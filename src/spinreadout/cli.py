@@ -99,27 +99,15 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _parse_range(text: str, flag: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValidationError(flag, f"expected LO,HI, got {text!r}")
+def _parse_pair(text: str, field: str, sep: str, form: str) -> tuple[float, float]:
+    """Two numbers from `text` split once at `sep`; `form` names the expected shape."""
+    halves = text.split(sep)
+    if len(halves) != 2:
+        raise ValidationError(field, f"expected {form}, got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        return float(halves[0]), float(halves[1])
     except ValueError:
-        raise ValidationError(flag, f"non-numeric bound in {text!r}") from None
-
-
-def _parse_segments(text: str) -> tuple[tuple[float, float], ...]:
-    segments = []
-    for part in text.split(","):
-        halves = part.split(":")
-        if len(halves) != 2:
-            raise ValidationError("segments", f"expected AMP_UEV:DURATION_PS, got {part!r}")
-        try:
-            segments.append((float(halves[0]), float(halves[1])))
-        except ValueError:
-            raise ValidationError("segments", f"non-numeric segment in {part!r}") from None
-    return tuple(segments)
+        raise ValidationError(field, f"non-numeric value in {text!r}") from None
 
 
 def _params_from_args(args: argparse.Namespace, fixed: dict[str, str]) -> GateParams:
@@ -165,18 +153,19 @@ def _cmd_protocol(args: argparse.Namespace) -> str:
 
 
 def _cmd_errmap(args: argparse.Namespace) -> str:
-    range1 = _parse_range(args.range1, "range1") if args.range1 else None
-    range2 = _parse_range(args.range2, "range2") if args.range2 else None
+    range1 = None if args.range1 is None else _parse_pair(args.range1, "range1", ",", "LO,HI")
+    range2 = None if args.range2 is None else _parse_pair(args.range2, "range2", ",", "LO,HI")
     if args.panel == "custom":
-        if not args.axis1 or not args.axis2:
+        if args.axis1 is None or args.axis2 is None:
             raise ValidationError("axis1", "panel custom needs --axis1 and --axis2")
         if range1 is None or range2 is None:
             raise ValidationError("range1", "panel custom needs --range1 and --range2")
         axis1 = AxisSpec(args.axis1, range1[0], range1[1], args.resolution)
         axis2 = AxisSpec(args.axis2, range2[0], range2[1], args.resolution)
     else:
-        if args.axis1 or args.axis2:
-            raise ValidationError("axis1", "--axis1/--axis2 apply to --panel custom only")
+        for name in ("axis1", "axis2"):
+            if getattr(args, name) is not None:
+                raise ValidationError(name, "--axis1/--axis2 apply to --panel custom only")
         axis1, axis2, _ = panel_axes(args.panel, args.resolution, range1, range2)
     swept = {
         gate: f"swept by axis {k} of panel {args.panel}"
@@ -193,6 +182,12 @@ def _cmd_montecarlo(args: argparse.Namespace) -> str:
     detector = DetectorModel(args.efficiency, args.false_positive)
     record = sample_readout(spin_in, params, args.shots, args.seed, detector)
     return json.dumps(asdict(record), indent=2) + "\n"
+
+
+def _cmd_pulse_angle(args: argparse.Namespace) -> str:
+    pairs = args.segments.split(",")
+    segments = tuple(_parse_pair(pair, "segments", ":", "AMP_UEV:DURATION_PS") for pair in pairs)
+    return f"{pulse_angle(PulseSpec(segments))!r} rad\n"
 
 
 def _add_spin_flags(parser: argparse.ArgumentParser) -> None:
@@ -270,9 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--segments", required=True, help="comma-separated AMP_UEV:DURATION_PS segments"
     )
     _add_output_flag(p_angle)
-    p_angle.set_defaults(
-        handler=lambda a: f"{pulse_angle(PulseSpec(_parse_segments(a.segments)))!r} rad\n"
-    )
+    p_angle.set_defaults(handler=_cmd_pulse_angle)
 
     p_for = calc.add_parser("pulse-for-angle", help="constant amplitude for a target angle")
     p_for.add_argument("--angle", type=float, required=True, help="target rotation, radians")
@@ -297,18 +290,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_LIST_FLAGS = ("--segments", "--range1", "--range2")
-
-
 def _normalize_argv(argv: list[str]) -> list[str]:
-    """Fold `FLAG VALUE` into `FLAG=VALUE` for each of _LIST_FLAGS; a dash-led
-    value like -1:2 or -1,1 would otherwise be read as a flag."""
+    """Fold `--name VALUE` into `--name=VALUE` when VALUE starts with one dash
+    or is `--`, so that argparse reads a value like -1e-05, -inf, -1,1 or -1:2
+    as a value, not as a flag.  A switch so followed fails as a switch given a
+    value does."""
     out = []
-    tokens = iter(argv)
-    for token in tokens:
-        if token in _LIST_FLAGS:
-            value = next(tokens, None)
-            out.append(token if value is None else f"{token}={value}")
+    for token in argv:
+        dash_led = token == "--" or (token.startswith("-") and not token.startswith("--"))
+        if dash_led and out and out[-1].startswith("--") and out[-1] != "--" and "=" not in out[-1]:
+            out[-1] += "=" + token
         else:
             out.append(token)
     return out
@@ -328,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(_normalize_argv(list(argv)))
+        args = build_parser().parse_args(_normalize_argv(argv))
     except SystemExit as exc:  # argparse has printed its usage error (2) or --help (0)
         return exc.code
     try:

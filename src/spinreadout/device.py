@@ -18,8 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import ELECTRON_MASS_KG, EV_TO_J, HBAR_J_S, HBAR_UEV_PS, m_to_nm, nm_to_m
 from .core import ValidationError, check_finite, check_positive
+
+# Pinned physical constants; every interface takes the units its signature states.
+HBAR_J_S = 1.054571817e-34  # reduced Planck constant
+HBAR_UEV_PS = 0.6582119569  # the same constant in ueV*ps
+ELECTRON_MASS_KG = 9.1093837015e-31
+EV_TO_J = 1.602176634e-19
 
 DEFAULT_EFFECTIVE_MASS = 0.026
 
@@ -83,6 +88,11 @@ def pulse_for_angle(target: float, duration_ps: float) -> float:
     return amplitude
 
 
+def _two_m_alpha(alpha_ev_m: float, effective_mass: float) -> float:
+    """2 m* alpha in SI units (kg * J*m)."""
+    return 2.0 * (effective_mass * ELECTRON_MASS_KG) * (alpha_ev_m * EV_TO_J)
+
+
 def rashba_length(spec: RashbaSpec) -> float:
     """Region length (nm) whose crossing rotates the spin by the target angle.
 
@@ -96,12 +106,9 @@ def rashba_length(spec: RashbaSpec) -> float:
     float
         L = target_angle * hbar^2 / (2 m* alpha), in nanometers.
     """
-    mass_kg = spec.effective_mass * ELECTRON_MASS_KG
-    alpha_j_m = spec.alpha_ev_m * EV_TO_J
-    denominator = 2.0 * mass_kg * alpha_j_m
+    denominator = _two_m_alpha(spec.alpha_ev_m, spec.effective_mass)
     # A subnormal alpha underflows the denominator to 0: the length is out of range.
-    length_m = spec.target_angle * HBAR_J_S**2 / denominator if denominator else math.inf
-    length = m_to_nm(length_m)
+    length = spec.target_angle * HBAR_J_S**2 / denominator * 1e9 if denominator else math.inf
     check_finite("length", length)
     return length
 
@@ -114,8 +121,6 @@ def rashba_angle(alpha_ev_m: float, effective_mass: float, length_nm: float) -> 
     check_positive("alpha", alpha_ev_m)
     check_positive("effective_mass", effective_mass)
     check_finite("length", length_nm)
-    mass_kg = effective_mass * ELECTRON_MASS_KG
-    alpha_j_m = alpha_ev_m * EV_TO_J
-    angle = 2.0 * mass_kg * alpha_j_m * nm_to_m(length_nm) / HBAR_J_S**2
+    angle = _two_m_alpha(alpha_ev_m, effective_mass) * (length_nm * 1e-9) / HBAR_J_S**2
     check_finite("angle", angle)
     return angle

@@ -383,6 +383,38 @@ def test_flag_spelt_equals_double_dash_exits_2(capsys, argv, field):
     assert code == 2 and out == "" and err.startswith(f"error: {field}: ")
 
 
+@pytest.mark.parametrize("flag", ["range1", "range2", "axis1", "axis2"])
+def test_errmap_empty_value_exits_2_naming_its_flag(capsys, tmp_path, flag):
+    path = tmp_path / "grid.csv"
+    code, out, err = run(capsys, ["errmap", "--panel", "b", f"--{flag}=", "--output", str(path)])
+    assert code == 2 and out == "" and not path.exists()
+    assert err.startswith(f"error: {flag}: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["protocol", "--delta", "1", "--theta1", "-1e-05"],
+        ["montecarlo", "--delta", "1", "--shots", "1000", "--phi", "-2.5e-4"],
+        ["device", "pulse-for-angle", "--angle", "-1e-3", "--duration", "1"],
+        ["device", "rashba-angle", "--alpha", "4e-11", "--length", "-1e-3"],
+    ],
+)
+def test_exponent_negative_value_reads_in_either_spelling(capsys, argv):
+    code, spaced, _ = run(capsys, argv)
+    assert code == 0
+    assert run(capsys, argv[:-2] + [f"{argv[-2]}={argv[-1]}"]) == (0, spaced, "")
+
+
+def test_dash_led_token_after_a_switch_or_a_spelt_value_exits_2(capsys, tmp_path):
+    # Only a bare `--name` takes the dash-led token after it: a switch takes no
+    # value, and `--name=VALUE` has its value already.
+    path = tmp_path / "out.json"
+    for argv in (["--output", str(path), "--ideal", "-1"], [f"--output={path}", "-1"]):
+        code, out, _ = run(capsys, ["protocol", "--delta", "1"] + argv)
+        assert code == 2 and out == "" and not path.exists()
+
+
 def test_montecarlo_deterministic_json(capsys, tmp_path):
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["montecarlo", "--delta", "0", "--ideal", "--shots", "100", "--seed", "11"]

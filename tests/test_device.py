@@ -11,7 +11,7 @@ from spinreadout import (
     rashba_angle,
     rashba_length,
 )
-from spinreadout.constants import HBAR_UEV_PS, m_to_nm, nm_to_m
+from spinreadout.device import HBAR_UEV_PS
 
 
 def test_pulse_angle_inverts_defining_integral():
@@ -105,8 +105,3 @@ def test_rashba_validation():
         RashbaSpec(math.nan, 0.026, 1.0)
     with pytest.raises(ValidationError, match="effective_mass"):
         RashbaSpec(4e-11, math.inf, 1.0)
-
-
-def test_unit_conversions_round_trip():
-    for value in (1.0, 3.7e-11, 250.0):
-        assert nm_to_m(m_to_nm(value)) == pytest.approx(value, rel=1e-12)

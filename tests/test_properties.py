@@ -2,7 +2,8 @@
 the gate constructors and readout propagation over the whole angle domain,
 of the Monte Carlo counts against a per-shot reference and their
 common-random-numbers monotonicity, of the grid CSV bytes against a
-per-cell reference, and of the command line against hostile argv.
+per-cell reference, and of the command line against hostile argv and in
+both flag spellings.
 
 Runs are derandomized, so every run draws the same examples.
 """
@@ -334,7 +335,7 @@ def choice(values):
     return mostly(st.sampled_from(values), st.sampled_from(JUNK))
 
 
-# Half of PROPERTY's examples keep the four argv properties near 2.5 s.
+# Half of PROPERTY's examples keep the five argv properties near 1.3 s together.
 ARGV_PROPERTY = settings(PROPERTY, max_examples=100)
 ANGLE_TEXT = number(-MAX_ANGLE, MAX_ANGLE)
 GATE_FLAGS = {"--ideal": None, **dict.fromkeys(["--theta1", "--theta2", "--psi", "--phi"], ANGLE_TEXT)}
@@ -458,3 +459,32 @@ def test_montecarlo_never_raises_on_any_argv(out_dir, argv, to_file):
 @example(["device", "rashba-length", "--alpha", "1", "--angle=--"], False)
 def test_device_never_raises_on_any_argv(out_dir, argv, to_file):
     check_main(argv, out_dir, to_file)
+
+
+def respelt(argv):
+    """`argv` with each `FLAG VALUE` pair spelt `FLAG=VALUE`; the switch --ideal stays."""
+    out, tokens = [], iter(argv)
+    for token in tokens:
+        if token.startswith("--") and token not in ("--", "--ideal") and "=" not in token:
+            value = next(tokens, None)
+            out.append(token if value is None else f"{token}={value}")
+        else:
+            out.append(token)
+    return out
+
+
+def run_main(argv):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, stdout.getvalue()
+
+
+@ARGV_PROPERTY
+@given(st.one_of(PROTOCOL_ARGV, ERRMAP_ARGV, MONTECARLO_ARGV, DEVICE_ARGV))
+@example(["protocol", "--delta", "1", "--theta1", "-1e-05"])
+@example(["montecarlo", "--delta", "1", "--shots", "1000", "--phi", "-2.5e-4"])
+@example(["device", "pulse-for-angle", "--angle", "-1e-3", "--duration", "1"])
+@example(["device", "rashba-angle", "--alpha", "4e-11", "--length", "-1e-3"])
+def test_flag_value_reads_the_same_in_either_spelling(argv):
+    assert run_main(argv) == run_main(respelt(argv))

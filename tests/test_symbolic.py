@@ -1,19 +1,22 @@
 """Symbolic proof that the closed form for p_up equals the matrix path.
 
 The readout sequence U1(theta2) U2(psi, phi) U1(theta1) is built from the
-paper's gates in sympy and applied to the spin input in dot 0.  Its dot-1
-occupancy minus the closed form (c0 + 1/2) + (c1 + 1/2) cos(delta) simplifies
-to 0 for every gate angle, delta and gamma.  The transcribed (c0, c1) are then
-lambdified and checked against the library's kernel at seeded draws, so the
-proof covers the code and not only the transcription.
+paper's gates in sympy and applied to the spin input in dot 0.  The closed
+form (c0 + 1/2) + (c1 + 1/2) cos(delta) takes (c0, c1) from the library's own
+kernel, error_analysis._coefficients, run on sympy symbols.  Their difference
+simplifies to 0 for every gate angle, delta and gamma, so the proof covers the
+code itself.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 import sympy as sp
 
-from spinreadout import GateParams, error_coefficients, probabilities_closed_form
+import spinreadout.error_analysis
+from spinreadout import GateParams, probabilities_closed_form
 
 theta1, theta2, psi, phi, delta, gamma = sp.symbols("theta1 theta2 psi phi delta gamma", real=True)
 
@@ -30,36 +33,34 @@ def conditional_phase(psi, phi):
     return sp.diag(sp.exp(sp.I * (psi - phi / 2)), 1, sp.exp(sp.I * (psi + phi / 2)), 1)
 
 
-# Transcription of the kernel's (c0, c1) in error_analysis._coefficients.
-S = sp.sin(2 * theta1) * sp.sin(2 * theta2)
-C0 = sp.sin(theta1 - theta2) ** 2 + S / 2 * (1 + sp.cos(psi) * sp.cos(phi / 2)) - sp.Rational(1, 2)
-C1 = (S * sp.sin(psi) * sp.sin(phi / 2) - 1) / 2
-P_UP = (C0 + sp.Rational(1, 2)) + (C1 + sp.Rational(1, 2)) * sp.cos(delta)
-
-
 def matrix_p_up():
     spin_in = sp.Matrix([sp.cos(delta / 2), 0, sp.exp(sp.I * gamma) * sp.sin(delta / 2), 0])
     out = tunneling(theta2) * conditional_phase(psi, phi) * tunneling(theta1) * spin_in
     return sum(amp * sp.conjugate(amp) for amp in (out[1], out[3]))
 
 
-def test_closed_form_equals_matrix_path_identically():
-    diff = matrix_p_up() - P_UP
+@pytest.fixture
+def kernel_p_up(monkeypatch):
+    """The closed-form p_up with (c0, c1) from the kernel's source, run with
+    sympy's sin and cos; the kernel's float 0.5 and 1.0 become exact rationals."""
+    monkeypatch.setattr(spinreadout.error_analysis, "np", SimpleNamespace(sin=sp.sin, cos=sp.cos))
+    c0, c1 = spinreadout.error_analysis._coefficients(theta1, theta2, psi, phi)
+    c0, c1 = (sp.nsimplify(c, rational=True) for c in (c0, c1))
+    return (c0 + sp.Rational(1, 2)) + (c1 + sp.Rational(1, 2)) * sp.cos(delta)
+
+
+def test_closed_form_equals_matrix_path_identically(kernel_p_up):
+    diff = matrix_p_up() - kernel_p_up
     # With every sine and cosine written as exponentials of real angles, the
     # difference is a sum of exponential monomials, and expanding cancels them
     # all; simplify(expand_complex(diff)) reaches 0 too, ten times slower.
     assert sp.expand(diff.rewrite(sp.exp)) == 0
 
 
-def test_transcription_matches_the_kernel():
-    coefficients = sp.lambdify((theta1, theta2, psi, phi), (C0, C1), "math")
-    p_up = sp.lambdify((theta1, theta2, psi, phi, delta), P_UP, "math")
+def test_closed_form_matches_the_proved_expression(kernel_p_up):
+    p_up = sp.lambdify((theta1, theta2, psi, phi, delta), kernel_p_up, "math")
     rng = np.random.default_rng(77)
     for _ in range(200):
         angles = rng.uniform(-2 * math.pi, 2 * math.pi, 4).tolist()
         d = float(rng.uniform(0, math.pi))
-        params = GateParams(*angles)
-        c0, c1 = error_coefficients(params)
-        want0, want1 = coefficients(*angles)
-        assert abs(c0 - want0) <= 1e-14 and abs(c1 - want1) <= 1e-14
-        assert abs(probabilities_closed_form(params, d).p_up - p_up(*angles, d)) <= 1e-14
+        assert abs(probabilities_closed_form(GateParams(*angles), d).p_up - p_up(*angles, d)) <= 1e-14
