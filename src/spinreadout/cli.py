@@ -156,12 +156,14 @@ def _cmd_errmap(args: argparse.Namespace) -> str:
     range1 = None if args.range1 is None else _parse_pair(args.range1, "range1", ",", "LO,HI")
     range2 = None if args.range2 is None else _parse_pair(args.range2, "range2", ",", "LO,HI")
     if args.panel == "custom":
-        if args.axis1 is None or args.axis2 is None:
-            raise ValidationError("axis1", "panel custom needs --axis1 and --axis2")
-        if range1 is None or range2 is None:
-            raise ValidationError("range1", "panel custom needs --range1 and --range2")
-        axis1 = AxisSpec(args.axis1, range1[0], range1[1], args.resolution)
-        axis2 = AxisSpec(args.axis2, range2[0], range2[1], args.resolution)
+        given = {"axis1": args.axis1, "axis2": args.axis2, "range1": range1, "range2": range2}
+        for flag, value in given.items():
+            if value is None:
+                raise ValidationError(flag, f"panel custom needs --{flag}")
+            if flag.startswith("axis") and value not in AXIS_NAMES:
+                raise ValidationError(flag, f"unknown axis {value!r}, expected one of {AXIS_NAMES}")
+        axis1 = AxisSpec(args.axis1, *range1, args.resolution)
+        axis2 = AxisSpec(args.axis2, *range2, args.resolution)
     else:
         for name in ("axis1", "axis2"):
             if getattr(args, name) is not None:

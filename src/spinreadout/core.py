@@ -155,8 +155,10 @@ def check_unitary(m: np.ndarray) -> None:
     """Reject a square matrix, or a stack of them, unless max |U^dag U - I| <= ATOL.
 
     Written so that a NaN defect fails: non-finite entries are never unitary.
+    Such entries (inf * 0) and huge ones (overflow) raise no numpy warning.
     """
-    gram = m.conj().swapaxes(-1, -2) @ m
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram = m.conj().swapaxes(-1, -2) @ m
     defect = float(np.abs(gram - _IDENTITY[m.shape[-1]]).max())
     if not defect <= ATOL:
         raise ValidationError("matrix", f"not unitary, max |U^dag U - I| = {defect:.3e}")

@@ -392,6 +392,24 @@ def test_errmap_empty_value_exits_2_naming_its_flag(capsys, tmp_path, flag):
 
 
 @pytest.mark.parametrize(
+    "given, flag",
+    [
+        (["--axis1", "theta1", "--range1", "0,1", "--range2", "0,1"], "axis2"),
+        (["--axis2", "phi", "--range1", "0,1", "--range2", "0,1"], "axis1"),
+        (["--axis1", "theta1", "--axis2", "phi", "--range1", "0,1"], "range2"),
+        (["--axis1", "theta1", "--axis2", "phi", "--range2", "0,1"], "range1"),
+        (["--axis1", "theta1", "--axis2", "bogus", "--range1", "0,1", "--range2", "0,1"], "axis2"),
+        (["--axis1", "bogus", "--axis2", "phi", "--range1", "0,1", "--range2", "0,1"], "axis1"),
+    ],
+)
+def test_errmap_custom_panel_names_the_flag_at_fault(capsys, tmp_path, given, flag):
+    path = tmp_path / "grid.csv"
+    code, out, err = run(capsys, ["errmap", "--panel", "custom", *given, "--output", str(path)])
+    assert code == 2 and out == "" and not path.exists()
+    assert err.startswith(f"error: {flag}: ")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["protocol", "--delta", "1", "--theta1", "-1e-05"],

@@ -19,6 +19,7 @@ from spinreadout import (
     u2_general,
     u2_ideal,
 )
+from spinreadout.core import check_unitary
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -206,11 +207,18 @@ def test_unitary_rejects_nan_matrix():
     assert err.value.field == "matrix"
 
 
-# inf * 0 in U^dag U makes numpy warn before the check rejects the NaN defect.
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_unitary_rejects_infinite_matrix():
     with pytest.raises(ValidationError, match="unitary") as err:
-        Unitary(np.eye(4) * math.inf)
+        Unitary(np.diag(np.full(4, math.inf)))
+    assert err.value.field == "matrix"
+
+
+@pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan, 1e200])
+def test_check_unitary_rejects_a_stack_with_a_bad_entry_without_warning(entry):
+    # inf * 0 and 1e200 ** 2 in U^dag U would warn; pytest turns a RuntimeWarning into an error.
+    stack = np.stack([np.eye(4), np.diag(np.full(4, entry))]).astype(complex)
+    with pytest.raises(ValidationError, match="unitary") as err:
+        check_unitary(stack)
     assert err.value.field == "matrix"
 
 
