@@ -151,22 +151,14 @@ class StateVector:
         return complex(self.amplitudes[basis_index(spin, mode, self.dim)])
 
 
-def check_unitary(m: np.ndarray) -> None:
-    """Reject a square matrix, or a stack of them, unless max |U^dag U - I| <= ATOL.
-
-    Written so that a NaN defect fails: non-finite entries are never unitary.
-    Such entries (inf * 0) and huge ones (overflow) raise no numpy warning.
-    """
-    with np.errstate(invalid="ignore", over="ignore"):
-        gram = m.conj().swapaxes(-1, -2) @ m
-    defect = float(np.abs(gram - _IDENTITY[m.shape[-1]]).max())
-    if not defect <= ATOL:
-        raise ValidationError("matrix", f"not unitary, max |U^dag U - I| = {defect:.3e}")
-
-
 @dataclass(frozen=True, eq=False)
 class Unitary:
-    """Dense complex square matrix; unitarity is checked at construction."""
+    """Dense complex square matrix; unitarity is checked at construction.
+
+    The check max |U^dag U - I| <= ATOL is written so that a NaN defect fails:
+    non-finite entries are never unitary.  Such entries (inf * 0) and huge ones
+    (overflow) raise no numpy warning.
+    """
 
     matrix: np.ndarray
 
@@ -174,7 +166,11 @@ class Unitary:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in _MODES_BY_DIM:
             raise ValidationError("matrix", f"expected a 4x4 or 6x6 matrix, got shape {m.shape}")
-        check_unitary(m)
+        with np.errstate(invalid="ignore", over="ignore"):
+            gram = m.conj().T @ m
+        defect = float(np.abs(gram - _IDENTITY[m.shape[0]]).max())
+        if not defect <= ATOL:
+            raise ValidationError("matrix", f"not unitary, max |U^dag U - I| = {defect:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -210,8 +206,10 @@ def rx_mode(theta: float, mode_pair: tuple[str, str] = (DOT0, DOT1), dim: int = 
     """Tunneling rotation exp(i theta sigma_x) on a mode pair, identity on spin.
 
     Sends |sigma; a> to cos(theta)|sigma; a> + i sin(theta)|sigma; b> for the
-    pair (a, b); a third mode, if present, is untouched.
+    pair (a, b); a third mode, if present, is untouched.  theta may be any
+    finite angle.
     """
+    check_finite("theta", theta)
     if len(mode_pair) != 2:
         raise ValidationError("mode_pair", f"expected two modes, got {mode_pair!r}")
     a, b = mode_pair
@@ -237,13 +235,18 @@ def u2_general(psi: float, phi: float) -> Unitary:
     """Imperfect conditional phase diag(e^{i(psi-phi/2)}, 1, e^{i(psi+phi/2)}, 1).
 
     psi is the extra phase tying spin to mode, phi the spin-rotation angle;
-    (psi, phi) = (pi/2, pi) recovers the ideal sign flip.
+    (psi, phi) = (pi/2, pi) recovers the ideal sign flip.  Both may be any
+    finite angle.
     """
+    check_finite("psi", psi)
+    check_finite("phi", phi)
     return Unitary(_u2_matrix(psi, phi))
 
 
 def rz_spin(phi: float, mode: str, dim: int = 4) -> Unitary:
-    """Spin rotation exp(i phi sigma_z) applied on the target mode only."""
+    """Spin rotation exp(i phi sigma_z) applied on the target mode only; phi
+    may be any finite angle."""
+    check_finite("phi", phi)
     up, down = basis_index(SPIN_UP, mode, dim), basis_index(SPIN_DOWN, mode, dim)
     m = _IDENTITY[dim].copy()
     m[up, up] = cmath.exp(1j * phi)

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     ATOL,
     DOT0,
@@ -35,7 +33,6 @@ from .core import (
     _u2_matrix,
     apply,
     basis_index,
-    check_unitary,
     compose,
     modes_for_dim,
     rx_mode,
@@ -71,18 +68,13 @@ def noisy_sequence(params: GateParams) -> Unitary:
     GateParams.ideal().
 
     Equal to compose([rx_mode(theta1), u2_general(psi, phi), rx_mode(theta2)]):
-    the three gates are built as one stack and checked for unitarity in one
-    batched call, and their product is checked again as a Unitary.
+    the gates are built from the angles GateParams has checked, and their
+    product is checked once, as a Unitary.
     """
-    gates = np.array(
-        [
-            _rx_matrix(params.theta1, (DOT0, DOT1), 4),
-            _u2_matrix(params.psi, params.phi),
-            _rx_matrix(params.theta2, (DOT0, DOT1), 4),
-        ]
-    )
-    check_unitary(gates)
-    return Unitary(gates[2] @ (gates[1] @ gates[0]))
+    g0 = _rx_matrix(params.theta1, (DOT0, DOT1), 4)
+    g1 = _u2_matrix(params.psi, params.phi)
+    g2 = _rx_matrix(params.theta2, (DOT0, DOT1), 4)
+    return Unitary(g2 @ (g1 @ g0))
 
 
 def run_readout(spin_in: SpinInput, params: GateParams) -> tuple[StateVector, ReadoutProbabilities]:

@@ -2,7 +2,12 @@
 
 import json
 import math
+import os
+import shlex
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +16,8 @@ import spinreadout.montecarlo
 from spinreadout.cli import main
 from spinreadout.error_analysis import AxisSpec
 from spinreadout.montecarlo import MAX_SHOTS
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 GOLDEN_CSV = (
     "axis1,axis2,Ebar\n"
@@ -554,3 +561,46 @@ def test_device_rejects_malformed_segments(capsys):
 def test_device_rejects_non_finite_output(capsys, argv, field):
     code, out, err = run(capsys, ["device"] + argv)
     assert code == 2 and out == "" and err.startswith(f"error: {field}: ")
+
+
+def readme_commands():
+    """Each command of the README's `## Command line` block as an argv list:
+    backslash continuations joined, `#` comments dropped."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = (shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines())
+    return [argv for argv in lines if argv]
+
+
+def test_readme_command_block_parses_to_its_eleven_commands():
+    commands = readme_commands()
+    assert len(commands) == 11
+    assert {argv[0] for argv in commands} == {"spinreadout"}
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_runs_as_written(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, argv[1:])
+    assert code == 0, err
+    if "--output" in argv:
+        assert out == "" and (tmp_path / argv[argv.index("--output") + 1]).stat().st_size > 0
+    else:
+        assert out
+
+
+@pytest.mark.parametrize(
+    "argv, status", [(["protocol", "--delta", "1.0", "--ideal"], 0), (["protocol", "--delta", "4"], 2)]
+)
+def test_python_m_spinreadout_passes_the_exit_status_through(argv, status):
+    src = str(Path(spinreadout.cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "spinreadout", *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == status, result.stderr
+    assert bool(result.stdout) == (status == 0)

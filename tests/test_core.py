@@ -19,7 +19,6 @@ from spinreadout import (
     u2_general,
     u2_ideal,
 )
-from spinreadout.core import check_unitary
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -215,11 +214,31 @@ def test_unitary_rejects_infinite_matrix():
 
 @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan, 1e200])
 def test_check_unitary_rejects_a_stack_with_a_bad_entry_without_warning(entry):
-    # inf * 0 and 1e200 ** 2 in U^dag U would warn; pytest turns a RuntimeWarning into an error.
-    stack = np.stack([np.eye(4), np.diag(np.full(4, entry))]).astype(complex)
+    # One bad entry in an identity: inf * 0 and 1e200 ** 2 in U^dag U would
+    # warn, and pytest turns a RuntimeWarning into an error.
+    m = np.eye(4, dtype=complex)
+    m[1, 2] = entry
     with pytest.raises(ValidationError, match="unitary") as err:
-        check_unitary(stack)
+        Unitary(m)
     assert err.value.field == "matrix"
+
+
+@pytest.mark.parametrize(
+    "builder, args, field",
+    [
+        (rx_mode, (math.inf,), "theta"),
+        (rx_mode, (math.nan,), "theta"),
+        (u2_general, (math.inf, 0.0), "psi"),
+        (u2_general, (0.0, math.nan), "phi"),
+        (rz_spin, (math.inf, "0"), "phi"),
+        (rz_spin, (math.nan, "0"), "phi"),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else str(v),
+)
+def test_gate_builders_reject_a_non_finite_angle_naming_it(builder, args, field):
+    with pytest.raises(ValidationError, match="not finite") as err:
+        builder(*args)
+    assert err.value.field == field
 
 
 def test_compose_rejects_a_gate_that_is_not_a_unitary():
