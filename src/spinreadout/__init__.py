@@ -13,12 +13,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": (
         "GateParams", "SpinInput", "StateVector", "Unitary", "ValidationError", "apply",
-        "basis_index", "basis_state", "compose", "identity", "rx_mode", "rz_spin",
-        "u2_general", "u2_ideal",
+        "basis_index", "compose", "rx_mode", "rz_spin", "u2_general",
     ),
     "device": (
-        "PulseSpec", "RashbaSpec", "pulse_angle", "pulse_for_angle", "rashba_angle",
-        "rashba_length",
+        "PulseSpec", "pulse_angle", "pulse_for_angle", "rashba_angle", "rashba_length",
     ),
     "error_analysis": (
         "AxisSpec", "ErrorGrid", "ExtremalError", "avg_abs_error", "error_coefficients",
@@ -29,8 +27,8 @@ _EXPORTS = {
         "DetectorModel", "ShotRecord", "effective_outcome_probability", "sample_readout",
     ),
     "protocol": (
-        "ReadoutProbabilities", "dot_occupancy", "ideal_sequence", "noisy_sequence",
-        "occupancies", "run_readout", "three_dot_coupler", "three_dot_sequence",
+        "ReadoutProbabilities", "dot_occupancy", "noisy_sequence", "occupancies",
+        "run_readout", "three_dot_sequence",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -31,7 +31,6 @@ from .core import (
 from .device import (
     DEFAULT_EFFECTIVE_MASS,
     PulseSpec,
-    RashbaSpec,
     pulse_angle,
     pulse_for_angle,
     rashba_angle,
@@ -279,9 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_material_flags(r_len)
     r_len.add_argument("--angle", type=float, required=True, help="target spin rotation, radians")
     _add_output_flag(r_len)
-    r_len.set_defaults(
-        handler=lambda a: f"{rashba_length(RashbaSpec(a.alpha, a.mass, a.angle))!r} nm\n"
-    )
+    r_len.set_defaults(handler=lambda a: f"{rashba_length(a.alpha, a.mass, a.angle)!r} nm\n")
 
     r_ang = calc.add_parser("rashba-angle", help="spin rotation accumulated over a region length")
     _add_material_flags(r_ang)

@@ -179,17 +179,6 @@ class Unitary:
         return self.matrix.shape[0]
 
 
-def basis_state(spin: str, mode: str, dim: int = 4) -> StateVector:
-    amp = np.zeros(dim, dtype=complex)
-    amp[basis_index(spin, mode, dim)] = 1.0
-    return StateVector(amp)
-
-
-def identity(dim: int = 4) -> Unitary:
-    modes_for_dim(dim)
-    return Unitary(np.eye(dim, dtype=complex))
-
-
 def _rx_matrix(theta: float, pair: tuple[str, str], dim: int) -> np.ndarray:
     """Matrix of exp(i theta sigma_x) on the mode pair, identity elsewhere."""
     # The pair's indices in each spin block; a bad mode or dim fails here.
@@ -218,11 +207,6 @@ def rx_mode(theta: float, mode_pair: tuple[str, str] = (DOT0, DOT1), dim: int = 
     return Unitary(_rx_matrix(theta, mode_pair, dim))
 
 
-def u2_ideal() -> Unitary:
-    """Local spin sign flip on dot 0: diag(1, 1, -1, 1), flipping only |down;0>."""
-    return Unitary(np.diag([1, 1, -1, 1]).astype(complex))
-
-
 def _u2_matrix(psi: float, phi: float) -> np.ndarray:
     """Matrix of the conditional phase diag(e^{i(psi-phi/2)}, 1, e^{i(psi+phi/2)}, 1)."""
     m = _IDENTITY[4].copy()
@@ -235,8 +219,8 @@ def u2_general(psi: float, phi: float) -> Unitary:
     """Imperfect conditional phase diag(e^{i(psi-phi/2)}, 1, e^{i(psi+phi/2)}, 1).
 
     psi is the extra phase tying spin to mode, phi the spin-rotation angle;
-    (psi, phi) = (pi/2, pi) recovers the ideal sign flip.  Both may be any
-    finite angle.
+    (psi, phi) = (pi/2, pi) recovers the ideal sign flip diag(1, 1, -1, 1),
+    which flips only |down;0>.  Both may be any finite angle.
     """
     check_finite("psi", psi)
     check_finite("phi", phi)

@@ -44,30 +44,6 @@ class PulseSpec:
             check_positive(f"segments[{i}].duration", duration)
 
 
-@dataclass(frozen=True)
-class RashbaSpec:
-    """Spin-orbit region parameters.
-
-    Parameters
-    ----------
-    alpha_ev_m : float
-        Spin-orbit coupling in eV*m; must be positive and finite.
-    effective_mass : float
-        Carrier mass in units of the free-electron mass; must be positive and finite.
-    target_angle : float
-        Desired spin-rotation angle in radians; must be finite.
-    """
-
-    alpha_ev_m: float
-    effective_mass: float
-    target_angle: float
-
-    def __post_init__(self):
-        check_positive("alpha", self.alpha_ev_m)
-        check_positive("effective_mass", self.effective_mass)
-        check_finite("target_angle", self.target_angle)
-
-
 def pulse_angle(spec: PulseSpec) -> float:
     """Tunneling rotation angle -sum(tau_i * dt_i)/hbar in radians."""
     area = sum(amplitude * duration for amplitude, duration in spec.segments)
@@ -93,22 +69,19 @@ def _two_m_alpha(alpha_ev_m: float, effective_mass: float) -> float:
     return 2.0 * (effective_mass * ELECTRON_MASS_KG) * (alpha_ev_m * EV_TO_J)
 
 
-def rashba_length(spec: RashbaSpec) -> float:
-    """Region length (nm) whose crossing rotates the spin by the target angle.
+def rashba_length(alpha_ev_m: float, effective_mass: float, target_angle: float) -> float:
+    """Region length (nm) whose crossing rotates the spin by `target_angle`
+    radians: L = target_angle * hbar^2 / (2 m* alpha).
 
-    Parameters
-    ----------
-    spec : RashbaSpec
-        Coupling, effective mass, and target rotation angle.
-
-    Returns
-    -------
-    float
-        L = target_angle * hbar^2 / (2 m* alpha), in nanometers.
+    alpha_ev_m (eV*m) and effective_mass (free-electron masses) must be
+    positive and finite, target_angle finite; they are checked in that order.
     """
-    denominator = _two_m_alpha(spec.alpha_ev_m, spec.effective_mass)
+    check_positive("alpha", alpha_ev_m)
+    check_positive("effective_mass", effective_mass)
+    check_finite("target_angle", target_angle)
+    denominator = _two_m_alpha(alpha_ev_m, effective_mass)
     # A subnormal alpha underflows the denominator to 0: the length is out of range.
-    length = spec.target_angle * HBAR_J_S**2 / denominator * 1e9 if denominator else math.inf
+    length = target_angle * HBAR_J_S**2 / denominator * 1e9 if denominator else math.inf
     check_finite("length", length)
     return length
 

@@ -31,10 +31,6 @@ class DetectorModel:
         check_probability("efficiency", self.efficiency)
         check_probability("false_positive", self.false_positive)
 
-    @classmethod
-    def ideal(cls) -> "DetectorModel":
-        return cls(1.0, 0.0)
-
 
 @dataclass(frozen=True)
 class ShotRecord:
@@ -72,7 +68,7 @@ def sample_readout(
     params: GateParams,
     shots: int,
     seed: int,
-    detector: DetectorModel | None = None,
+    detector: DetectorModel = DetectorModel(),
 ) -> ShotRecord:
     """Simulate `shots` (at most MAX_SHOTS) single-shot readouts of the monitored dot 1.
 
@@ -89,7 +85,6 @@ def sample_readout(
     if shots > MAX_SHOTS:
         raise ValidationError("shots", f"{shots} exceeds {MAX_SHOTS}")
     check_integer("seed", seed, minimum=0)
-    det = detector if detector is not None else DetectorModel.ideal()
 
     # p_up may stray outside [0, 1] by rounding (ReadoutProbabilities allows
     # ATOL); the uniforms lie in [0, 1), so clamping changes no draw.
@@ -102,9 +97,9 @@ def sample_readout(
         count = min(BATCH_SHOTS, shots - done)
         u = _batch_rng(seed, batch_index).random((2, count))
         occupied = u[0] < p_occupied
-        detected += int(np.count_nonzero(occupied & (u[1] < det.efficiency)))
-        detected += int(np.count_nonzero(~occupied & (u[1] < det.false_positive)))
+        detected += int(np.count_nonzero(occupied & (u[1] < detector.efficiency)))
+        detected += int(np.count_nonzero(~occupied & (u[1] < detector.false_positive)))
         done += count
         batch_index += 1
-    analytic_p_up = effective_outcome_probability(p_occupied, det)
+    analytic_p_up = effective_outcome_probability(p_occupied, detector)
     return ShotRecord(shots, detected, seed, detected / shots, analytic_p_up)

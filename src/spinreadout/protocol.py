@@ -37,7 +37,6 @@ from .core import (
     modes_for_dim,
     rx_mode,
     rz_spin,
-    u2_ideal,
 )
 
 
@@ -56,16 +55,10 @@ class ReadoutProbabilities:
             raise ValidationError("p_up", f"p_up + p_down = {self.p_up + self.p_down!r}, expected 1")
 
 
-def ideal_sequence() -> Unitary:
-    """The perfect two-dot sequence: quarter oscillation, sign flip on dot 0,
-    quarter oscillation."""
-    quarter = rx_mode(math.pi / 4, (DOT0, DOT1), 4)
-    return compose([quarter, u2_ideal(), quarter])
-
-
 def noisy_sequence(params: GateParams) -> Unitary:
-    """Two-dot sequence with imperfect gates; reduces to ideal_sequence() at
-    GateParams.ideal().
+    """Two-dot sequence with imperfect gates; at GateParams.ideal() it is the
+    perfect sequence (quarter oscillation, sign flip on dot 0, quarter
+    oscillation), diag(i sigma_x, -sigma_z).
 
     Equal to compose([rx_mode(theta1), u2_general(psi, phi), rx_mode(theta2)]):
     the gates are built from the angles GateParams has checked, and their
@@ -88,32 +81,22 @@ def run_readout(spin_in: SpinInput, params: GateParams) -> tuple[StateVector, Re
     return out, ReadoutProbabilities(p_up=dot_occupancy(out, DOT1), p_down=dot_occupancy(out, DOT0))
 
 
-def three_dot_coupler() -> Unitary:
-    """Full tunneling 0 -> 0p through the spin-rotating region.
-
-    The half Rabi oscillation contributes a factor i on the transit and the
-    region applies exp(-i sigma_z pi/2) = -i sigma_z, so the combined map is
-    |up;0> -> |up;0p>, |down;0> -> -|down;0p>, with dot 1 untouched.  Placing
-    the spin rotation at dot 0 before the hop or at dot 0p after it gives the
-    same matrix, because the full hop has no diagonal part on the pair.
-    """
-    return compose(
-        [
-            rx_mode(math.pi / 2, (DOT0, DOT0P), 6),
-            rz_spin(-math.pi / 2, DOT0P, 6),
-        ]
-    )
-
-
 def three_dot_sequence() -> Unitary:
-    """Quarter oscillation (0,1), coupler 0 -> 0p, quarter oscillation (0p,1).
+    """Quarter oscillation (0,1), full tunneling 0 -> 0p through the
+    spin-rotating region, quarter oscillation (0p,1).
 
-    Maps |up;0> to i|up;1> and |down;0> to -|down;0p>.
+    The full hop contributes a factor i and the region exp(-i sigma_z pi/2) =
+    -i sigma_z, so the passage sends |up;0> -> |up;0p>, |down;0> -> -|down;0p>
+    and leaves dot 1 untouched.  The spin rotation may sit at dot 0 before the
+    hop or at dot 0p after it: the full hop has no diagonal part on the pair,
+    so both give the same matrix.  The sequence maps |up;0> to i|up;1> and
+    |down;0> to -|down;0p>.
     """
     return compose(
         [
             rx_mode(math.pi / 4, (DOT0, DOT1), 6),
-            three_dot_coupler(),
+            rx_mode(math.pi / 2, (DOT0, DOT0P), 6),
+            rz_spin(-math.pi / 2, DOT0P, 6),
             rx_mode(math.pi / 4, (DOT0P, DOT1), 6),
         ]
     )

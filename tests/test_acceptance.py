@@ -13,12 +13,9 @@ import numpy as np
 from spinreadout import (
     GateParams,
     PulseSpec,
-    RashbaSpec,
     SpinInput,
     apply,
     avg_abs_error,
-    basis_state,
-    compose,
     dot_occupancy,
     effective_outcome_probability,
     measurement_error,
@@ -28,16 +25,16 @@ from spinreadout import (
     pulse_for_angle,
     rashba_length,
     run_readout,
-    rx_mode,
     sample_readout,
     sweep_grid,
     three_dot_sequence,
-    u2_ideal,
 )
 from spinreadout.cli import grid_to_csv, main
 from spinreadout.error_analysis import panel_axes
 from spinreadout.montecarlo import DetectorModel
 from spinreadout.quadrature import avg_abs_error_quadrature
+
+from shared import GOLDEN_CSV, one_hot
 
 
 @contextmanager
@@ -58,16 +55,15 @@ def random_params(rng):
 def test_criterion_01_protocol_identity():
     with criterion(1, "two-dot sequence equals diag(i*sx, -sz); deterministic spin-to-charge map"):
         start = time.perf_counter()
-        quarter = rx_mode(math.pi / 4, ("0", "1"), 4)
-        u = compose([quarter, u2_ideal(), quarter])
+        u = noisy_sequence(GateParams.ideal())
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 1] = expected[1, 0] = 1j
         expected[2, 2] = -1.0
         expected[3, 3] = 1.0
         assert np.max(np.abs(u.matrix - expected)) <= 1e-12
-        up = apply(u, basis_state("up", "0", 4))
+        up = apply(u, one_hot("up", "0", 4))
         assert np.max(np.abs(up.amplitudes - np.array([0, 1j, 0, 0]))) <= 1e-12
-        down = apply(u, basis_state("down", "0", 4))
+        down = apply(u, one_hot("down", "0", 4))
         assert np.max(np.abs(down.amplitudes - np.array([0, 0, -1, 0]))) <= 1e-12
         assert time.perf_counter() - start < 1.0
 
@@ -133,20 +129,6 @@ def test_criterion_06_average_error_consistency():
             assert abs(avg_abs_error(stuck) - 0.5) <= 1e-9
 
 
-GOLDEN_CSV = (
-    "axis1,axis2,Ebar\n"
-    "0.25,0.25,0.385075576467\n"
-    "0.25,0.5,0.253898598732\n"
-    "0.25,0.75,0.167263130826\n"
-    "0.5,0.25,0.253898598732\n"
-    "0.5,0.5,0.145963290863\n"
-    "0.5,0.75,0.0525865151669\n"
-    "0.75,0.25,0.167263130826\n"
-    "0.75,0.5,0.0525865151669\n"
-    "0.75,0.75,0.00250187584989\n"
-)
-
-
 def test_criterion_07_error_surface_regeneration(tmp_path):
     with criterion(7, "all three 101x101 panels in <60s; symmetry, ideal node, golden CSV bytes"):
         start = time.perf_counter()
@@ -168,11 +150,11 @@ def test_criterion_07_error_surface_regeneration(tmp_path):
 def test_criterion_08_three_dot_variant():
     with criterion(8, "three-dot sequence sends up to i|up;1> and down to -|down;0p>"):
         seq = three_dot_sequence()
-        up = apply(seq, basis_state("up", "0", 6))
+        up = apply(seq, one_hot("up", "0", 6))
         expected_up = np.zeros(6, dtype=complex)
         expected_up[2] = 1j
         assert np.max(np.abs(up.amplitudes - expected_up)) <= 1e-12
-        down = apply(seq, basis_state("down", "0", 6))
+        down = apply(seq, one_hot("down", "0", 6))
         expected_down = np.zeros(6, dtype=complex)
         expected_down[4] = -1.0
         assert np.max(np.abs(down.amplitudes - expected_down)) <= 1e-12
@@ -180,9 +162,9 @@ def test_criterion_08_three_dot_variant():
 
 def test_criterion_09_device_numbers():
     with criterion(9, "spin-orbit lengths match 58 nm / 250 nm within 2%; pulse round-trips"):
-        inas = rashba_length(RashbaSpec(4e-11, 0.026, math.pi / 2))
+        inas = rashba_length(4e-11, 0.026, math.pi / 2)
         assert abs(inas - 58.0) / 58.0 < 0.02
-        ingaas = rashba_length(RashbaSpec(0.93e-11, 0.026, math.pi / 2))
+        ingaas = rashba_length(0.93e-11, 0.026, math.pi / 2)
         assert abs(ingaas - 250.0) / 250.0 < 0.02
         rng = np.random.default_rng(909)
         for _ in range(100):

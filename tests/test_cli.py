@@ -17,20 +17,10 @@ from spinreadout.cli import main
 from spinreadout.error_analysis import AxisSpec
 from spinreadout.montecarlo import MAX_SHOTS
 
+from shared import GOLDEN_CSV
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-GOLDEN_CSV = (
-    "axis1,axis2,Ebar\n"
-    "0.25,0.25,0.385075576467\n"
-    "0.25,0.5,0.253898598732\n"
-    "0.25,0.75,0.167263130826\n"
-    "0.5,0.25,0.253898598732\n"
-    "0.5,0.5,0.145963290863\n"
-    "0.5,0.75,0.0525865151669\n"
-    "0.75,0.25,0.167263130826\n"
-    "0.75,0.5,0.0525865151669\n"
-    "0.75,0.75,0.00250187584989\n"
-)
 GOLDEN_ARGS = [
     "errmap",
     "--panel",

@@ -11,14 +11,13 @@ from spinreadout import (
     ValidationError,
     apply,
     basis_index,
-    basis_state,
     compose,
-    identity,
     rx_mode,
     rz_spin,
     u2_general,
-    u2_ideal,
 )
+
+from shared import one_hot
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -42,7 +41,7 @@ def test_basis_index_rejects_unknown_labels():
 
 
 def test_rx_mode_quarter_oscillation_splits_evenly():
-    out = apply(rx_mode(math.pi / 4, ("0", "1"), 4), basis_state("up", "0", 4))
+    out = apply(rx_mode(math.pi / 4, ("0", "1"), 4), one_hot("up", "0", 4))
     np.testing.assert_allclose(out.amplitudes, [SQ2, 1j * SQ2, 0, 0], atol=1e-12)
 
 
@@ -52,15 +51,15 @@ def test_rx_mode_zero_angle_is_identity():
 
 @pytest.mark.parametrize("spin", ["up", "down"])
 def test_rx_mode_half_oscillation_transfers_completely(spin):
-    out = apply(rx_mode(math.pi / 2, ("0", "1"), 4), basis_state(spin, "0", 4))
-    expected = 1j * basis_state(spin, "1", 4).amplitudes
+    out = apply(rx_mode(math.pi / 2, ("0", "1"), 4), one_hot(spin, "0", 4))
+    expected = 1j * one_hot(spin, "1", 4).amplitudes
     np.testing.assert_allclose(out.amplitudes, expected, atol=1e-12)
 
 
 def test_rx_mode_leaves_third_mode_alone():
     u = rx_mode(1.234, ("0", "0p"), 6)
-    out = apply(u, basis_state("down", "1", 6))
-    np.testing.assert_allclose(out.amplitudes, basis_state("down", "1", 6).amplitudes, atol=1e-15)
+    out = apply(u, one_hot("down", "1", 6))
+    np.testing.assert_allclose(out.amplitudes, one_hot("down", "1", 6).amplitudes, atol=1e-15)
 
 
 def test_rx_mode_rejects_bad_mode_pairs():
@@ -70,18 +69,14 @@ def test_rx_mode_rejects_bad_mode_pairs():
         rx_mode(0.1, ("0", "0"), 4)
 
 
-def test_u2_ideal_flips_only_down_in_dot0():
-    u = u2_ideal()
-    np.testing.assert_array_equal(u.matrix, np.diag([1, 1, -1, 1]))
-    flipped = apply(u, basis_state("down", "0", 4))
-    np.testing.assert_allclose(flipped.amplitudes, [0, 0, -1, 0], atol=1e-15)
-    kept = apply(u, basis_state("up", "0", 4))
-    np.testing.assert_allclose(kept.amplitudes, [1, 0, 0, 0], atol=1e-15)
-
-
 def test_u2_general_matches_ideal_at_ideal_phases():
-    got = u2_general(math.pi / 2, math.pi).matrix
-    np.testing.assert_allclose(got, u2_ideal().matrix, atol=1e-12)
+    # The sign flip on dot 0: only |down;0> changes sign.
+    u = u2_general(math.pi / 2, math.pi)
+    np.testing.assert_allclose(u.matrix, np.diag([1, 1, -1, 1]), atol=1e-12)
+    flipped = apply(u, one_hot("down", "0", 4))
+    np.testing.assert_allclose(flipped.amplitudes, [0, 0, -1, 0], atol=1e-12)
+    kept = apply(u, one_hot("up", "0", 4))
+    np.testing.assert_allclose(kept.amplitudes, [1, 0, 0, 0], atol=1e-12)
 
 
 def test_u2_general_special_values():
@@ -93,10 +88,10 @@ def test_u2_general_special_values():
 
 def test_rz_spin_quarter_turn_on_dot0():
     u = rz_spin(-math.pi / 2, "0", 4)
-    out = apply(u, basis_state("up", "0", 4))
+    out = apply(u, one_hot("up", "0", 4))
     np.testing.assert_allclose(out.amplitudes, [-1j, 0, 0, 0], atol=1e-12)
     # acts on the target mode only
-    out = apply(u, basis_state("down", "1", 4))
+    out = apply(u, one_hot("down", "1", 4))
     np.testing.assert_allclose(out.amplitudes, [0, 0, 0, 1], atol=1e-15)
 
 
@@ -110,17 +105,17 @@ def test_rz_spin_rejects_bad_mode():
 
 
 def test_compose_identity_and_dimension_checks():
-    np.testing.assert_array_equal(compose([identity(4), identity(4)]).matrix, np.eye(4))
+    np.testing.assert_array_equal(compose([Unitary(np.eye(4)), Unitary(np.eye(4))]).matrix, np.eye(4))
     with pytest.raises(ValidationError, match="gates"):
         compose([])
     with pytest.raises(ValidationError, match="dim"):
-        compose([identity(4), identity(6)])
+        compose([Unitary(np.eye(4)), Unitary(np.eye(6))])
 
 
 def test_compose_applies_first_listed_first():
     # rz on dot 0 then full hop: the phase must ride along to dot 1
     seq = compose([rz_spin(0.7, "0", 4), rx_mode(math.pi / 2, ("0", "1"), 4)])
-    out = apply(seq, basis_state("up", "0", 4))
+    out = apply(seq, one_hot("up", "0", 4))
     np.testing.assert_allclose(out.amplitudes, [0, 1j * np.exp(0.7j), 0, 0], atol=1e-12)
 
 
@@ -128,13 +123,13 @@ def test_apply_identity_returns_same_state():
     rng = np.random.default_rng(3)
     amp = rng.normal(size=4) + 1j * rng.normal(size=4)
     state = StateVector(amp / np.linalg.norm(amp))
-    out = apply(identity(4), state)
+    out = apply(Unitary(np.eye(4)), state)
     np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
 
 
 def test_apply_rejects_dim_mismatch():
     with pytest.raises(ValidationError, match="dim"):
-        apply(identity(6), basis_state("up", "0", 4))
+        apply(Unitary(np.eye(6)), one_hot("up", "0", 4))
 
 
 def test_random_gates_preserve_norm():
@@ -188,7 +183,7 @@ def test_statevector_rejects_nan_amplitude():
 
 
 def test_statevector_is_immutable():
-    state = basis_state("up", "0", 4)
+    state = one_hot("up", "0", 4)
     with pytest.raises(ValueError):
         state.amplitudes[0] = 0.0
 
@@ -213,7 +208,7 @@ def test_unitary_rejects_infinite_matrix():
 
 
 @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan, 1e200])
-def test_check_unitary_rejects_a_stack_with_a_bad_entry_without_warning(entry):
+def test_unitary_rejects_a_bad_entry_without_warning(entry):
     # One bad entry in an identity: inf * 0 and 1e200 ** 2 in U^dag U would
     # warn, and pytest turns a RuntimeWarning into an error.
     m = np.eye(4, dtype=complex)
@@ -246,17 +241,17 @@ def test_compose_rejects_a_gate_that_is_not_a_unitary():
         compose([np.eye(4)])
     assert err.value.field == "gates"
     with pytest.raises(ValidationError, match="gate 1") as err:
-        compose([identity(4), np.eye(4)])
+        compose([Unitary(np.eye(4)), np.eye(4)])
     assert err.value.field == "gates"
 
 
 def test_apply_rejects_a_raw_matrix_or_vector():
-    state = basis_state("up", "0", 4)
+    state = one_hot("up", "0", 4)
     with pytest.raises(ValidationError, match="Unitary") as err:
         apply(np.eye(4), state)
     assert err.value.field == "u"
     with pytest.raises(ValidationError, match="StateVector") as err:
-        apply(identity(4), state.amplitudes)
+        apply(Unitary(np.eye(4)), state.amplitudes)
     assert err.value.field == "s"
 
 

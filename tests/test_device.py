@@ -4,7 +4,6 @@ import pytest
 
 from spinreadout import (
     PulseSpec,
-    RashbaSpec,
     ValidationError,
     pulse_angle,
     pulse_for_angle,
@@ -64,15 +63,15 @@ def test_pulse_validation():
 
 
 def test_rashba_reference_lengths():
-    inas = rashba_length(RashbaSpec(4e-11, 0.026, math.pi / 2))
+    inas = rashba_length(4e-11, 0.026, math.pi / 2)
     assert abs(inas - 58.0) / 58.0 < 0.02
-    ingaas = rashba_length(RashbaSpec(0.93e-11, 0.026, math.pi / 2))
+    ingaas = rashba_length(0.93e-11, 0.026, math.pi / 2)
     assert abs(ingaas - 250.0) / 250.0 < 0.02
 
 
 def test_rashba_length_scales_inversely_with_coupling():
-    base = rashba_length(RashbaSpec(2e-11, 0.03, 1.0))
-    assert rashba_length(RashbaSpec(4e-11, 0.03, 1.0)) == pytest.approx(base / 2, rel=1e-12)
+    base = rashba_length(2e-11, 0.03, 1.0)
+    assert rashba_length(4e-11, 0.03, 1.0) == pytest.approx(base / 2, rel=1e-12)
 
 
 def test_rashba_length_times_alpha_and_mass_is_constant():
@@ -80,7 +79,7 @@ def test_rashba_length_times_alpha_and_mass_is_constant():
     reference = None
     for alpha in (1e-11, 3e-11):
         for mass in (0.02, 0.067):
-            product = rashba_length(RashbaSpec(alpha, mass, angle)) * alpha * mass
+            product = rashba_length(alpha, mass, angle) * alpha * mass
             if reference is None:
                 reference = product
             assert product == pytest.approx(reference, rel=1e-12)
@@ -88,20 +87,20 @@ def test_rashba_length_times_alpha_and_mass_is_constant():
 
 def test_rashba_round_trip():
     for alpha, mass, angle in ((4e-11, 0.026, math.pi / 2), (1.2e-11, 0.05, 0.3)):
-        length = rashba_length(RashbaSpec(alpha, mass, angle))
+        length = rashba_length(alpha, mass, angle)
         assert rashba_angle(alpha, mass, length) == pytest.approx(angle, rel=1e-12)
 
 
 def test_rashba_validation():
     with pytest.raises(ValidationError, match="alpha"):
-        RashbaSpec(0.0, 0.026, 1.0)
+        rashba_length(0.0, 0.026, 1.0)
     with pytest.raises(ValidationError, match="effective_mass"):
-        RashbaSpec(1e-11, -1.0, 1.0)
+        rashba_length(1e-11, -1.0, 1.0)
     with pytest.raises(ValidationError, match="alpha"):
         rashba_angle(-1e-11, 0.026, 58.0)
     with pytest.raises(ValidationError, match="target_angle"):
-        RashbaSpec(4e-11, 0.026, math.nan)
+        rashba_length(4e-11, 0.026, math.nan)
     with pytest.raises(ValidationError, match="alpha"):
-        RashbaSpec(math.nan, 0.026, 1.0)
+        rashba_length(math.nan, 0.026, 1.0)
     with pytest.raises(ValidationError, match="effective_mass"):
-        RashbaSpec(4e-11, math.inf, 1.0)
+        rashba_length(4e-11, math.inf, 1.0)

@@ -48,7 +48,7 @@ def test_seeded_counts_are_pinned(capsys):
     cases = [
         (SpinInput(1.1, 0.4), GateParams(0.7, 0.8, 1.5, 3.0), 20_000, 42, DetectorModel(0.93, 0.04), 13722),
         (SpinInput(math.pi / 3), GateParams.ideal(), BATCH_SHOTS + 1, 5, DetectorModel(0.6, 0.0), 3718),
-        (SpinInput(math.pi / 2), GateParams.ideal(), 3 * BATCH_SHOTS + 5, 7, DetectorModel.ideal(), 12289),
+        (SpinInput(math.pi / 2), GateParams.ideal(), 3 * BATCH_SHOTS + 5, 7, DetectorModel(), 12289),
         (SpinInput(2.0, 1.0), GateParams(0.3, 1.2, 2.0, 0.5), BATCH_SHOTS, 2**40, DetectorModel(0.0, 1.0), 2360),
         (SpinInput(0.9), GateParams(1.0, 0.4, 0.2, 4.0), 1, 0, DetectorModel(0.5, 0.5), 1),
     ]
@@ -84,7 +84,7 @@ def test_empirical_frequency_tracks_analytic_probability():
 
 
 def test_detector_channel_arithmetic():
-    ideal = DetectorModel.ideal()
+    ideal = DetectorModel()
     assert effective_outcome_probability(0.37, ideal) == 0.37
     assert effective_outcome_probability(1.0, DetectorModel(0.9, 0.0)) == pytest.approx(0.9)
     assert effective_outcome_probability(0.5, DetectorModel(0.8, 0.1)) == pytest.approx(0.45)
@@ -158,7 +158,7 @@ def test_probability_inputs_reject_nan_naming_the_field():
         (lambda: DetectorModel(1.0, math.nan), "false_positive"),
         (lambda: ShotRecord(10, 5, 0, math.nan, 0.5), "estimated_p_up"),
         (lambda: ShotRecord(10, 5, 0, 0.5, math.nan), "analytic_p_up"),
-        (lambda: effective_outcome_probability(math.nan, DetectorModel.ideal()), "p_occupied"),
+        (lambda: effective_outcome_probability(math.nan, DetectorModel()), "p_occupied"),
     ]
     for build, field in cases:
         with pytest.raises(ValidationError) as err:

@@ -15,13 +15,12 @@ SUBMODULES = ("core", "device", "error_analysis", "montecarlo", "protocol")
 
 PUBLIC = {
     "AxisSpec", "DetectorModel", "ErrorGrid", "ExtremalError", "GateParams", "PulseSpec",
-    "RashbaSpec", "ReadoutProbabilities", "ShotRecord", "SpinInput", "StateVector", "Unitary",
-    "ValidationError", "apply", "avg_abs_error", "basis_index", "basis_state", "compose",
-    "dot_occupancy", "effective_outcome_probability", "error_coefficients", "extremal_error",
-    "identity", "ideal_sequence", "measurement_error", "noisy_sequence", "occupancies",
-    "panel_axes", "probabilities_closed_form", "pulse_angle", "pulse_for_angle", "rashba_angle",
-    "rashba_length", "run_readout", "rx_mode", "rz_spin", "sample_readout", "sweep_grid",
-    "three_dot_coupler", "three_dot_sequence", "u2_general", "u2_ideal",
+    "ReadoutProbabilities", "ShotRecord", "SpinInput", "StateVector", "Unitary", "ValidationError",
+    "apply", "avg_abs_error", "basis_index", "compose", "dot_occupancy",
+    "effective_outcome_probability", "error_coefficients", "extremal_error", "measurement_error",
+    "noisy_sequence", "occupancies", "panel_axes", "probabilities_closed_form", "pulse_angle",
+    "pulse_for_angle", "rashba_angle", "rashba_length", "run_readout", "rx_mode", "rz_spin",
+    "sample_readout", "sweep_grid", "three_dot_sequence", "u2_general",
 }
 
 
@@ -62,6 +61,12 @@ def test_star_import_binds_every_public_name_from_its_submodule():
     for name, value in namespace.items():
         assert value is getattr(importlib.import_module(value.__module__), name)
         assert value.__module__.removeprefix("spinreadout.") in SUBMODULES
+
+
+def test_a_removed_helper_is_not_importable():
+    for name in ("RashbaSpec", "basis_state", "identity", "ideal_sequence", "three_dot_coupler", "u2_ideal"):
+        with pytest.raises(ImportError, match=name):
+            exec(f"from spinreadout import {name}", {})
 
 
 def test_dir_lists_every_public_name():

@@ -9,19 +9,18 @@ from spinreadout import (
     SpinInput,
     ValidationError,
     apply,
-    basis_state,
     compose,
     dot_occupancy,
-    ideal_sequence,
     noisy_sequence,
     occupancies,
     run_readout,
     rx_mode,
-    three_dot_coupler,
+    rz_spin,
     three_dot_sequence,
     u2_general,
-    u2_ideal,
 )
+
+from shared import one_hot
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -31,33 +30,28 @@ def test_ideal_sequence_is_block_diag_isx_minus_sz():
     expected[0, 1] = expected[1, 0] = 1j  # i*sigma_x on the spin-up modes
     expected[2, 2] = -1.0  # -sigma_z on the spin-down modes
     expected[3, 3] = 1.0
-    np.testing.assert_allclose(ideal_sequence().matrix, expected, atol=1e-12)
-
-
-def test_ideal_sequence_equals_composed_steps():
-    quarter = rx_mode(math.pi / 4, ("0", "1"), 4)
-    np.testing.assert_allclose(
-        compose([quarter, u2_ideal(), quarter]).matrix, ideal_sequence().matrix, atol=1e-15
-    )
+    np.testing.assert_allclose(noisy_sequence(GateParams.ideal()).matrix, expected, atol=1e-12)
 
 
 def test_ideal_sequence_converts_spin_to_charge():
-    up = apply(ideal_sequence(), basis_state("up", "0", 4))
+    ideal = noisy_sequence(GateParams.ideal())
+    up = apply(ideal, one_hot("up", "0", 4))
     np.testing.assert_allclose(up.amplitudes, [0, 1j, 0, 0], atol=1e-12)
-    down = apply(ideal_sequence(), basis_state("down", "0", 4))
+    down = apply(ideal, one_hot("down", "0", 4))
     np.testing.assert_allclose(down.amplitudes, [0, 0, -1, 0], atol=1e-12)
 
 
 def test_ideal_sequence_on_equal_superposition():
     state = SpinInput(math.pi / 2, 0.0).to_state(4)
-    out = apply(ideal_sequence(), state)
+    out = apply(noisy_sequence(GateParams.ideal()), state)
     np.testing.assert_allclose(out.amplitudes, [0, 1j * SQ2, -SQ2, 0], atol=1e-12)
 
 
 def test_noisy_sequence_reduces_to_ideal():
-    np.testing.assert_allclose(
-        noisy_sequence(GateParams.ideal()).matrix, ideal_sequence().matrix, atol=1e-12
-    )
+    # Quarter oscillation, sign flip on dot 0, quarter oscillation.
+    quarter = rx_mode(math.pi / 4, ("0", "1"), 4)
+    ideal = compose([quarter, u2_general(math.pi / 2, math.pi), quarter])
+    np.testing.assert_allclose(noisy_sequence(GateParams.ideal()).matrix, ideal.matrix, atol=1e-12)
 
 
 def test_noisy_sequence_with_zero_rotations_is_u2():
@@ -114,21 +108,22 @@ def test_run_readout_ignores_relative_phase():
 
 def test_three_dot_sequence_mappings():
     seq = three_dot_sequence()
-    up = apply(seq, basis_state("up", "0", 6))
+    up = apply(seq, one_hot("up", "0", 6))
     np.testing.assert_allclose(up.amplitudes, [0, 0, 1j, 0, 0, 0], atol=1e-12)
-    down = apply(seq, basis_state("down", "0", 6))
+    down = apply(seq, one_hot("down", "0", 6))
     np.testing.assert_allclose(down.amplitudes, [0, 0, 0, 0, -1, 0], atol=1e-12)
 
 
 def test_three_dot_coupler_action():
-    coupler = three_dot_coupler()
-    up = apply(coupler, basis_state("up", "0", 6))
-    np.testing.assert_allclose(up.amplitudes, basis_state("up", "0p", 6).amplitudes, atol=1e-12)
-    down = apply(coupler, basis_state("down", "0", 6))
-    np.testing.assert_allclose(down.amplitudes, -basis_state("down", "0p", 6).amplitudes, atol=1e-12)
+    # Full tunneling 0 -> 0p through the region rotating the spin by -pi/2.
+    coupler = compose([rx_mode(math.pi / 2, ("0", "0p"), 6), rz_spin(-math.pi / 2, "0p", 6)])
+    up = apply(coupler, one_hot("up", "0", 6))
+    np.testing.assert_allclose(up.amplitudes, one_hot("up", "0p", 6).amplitudes, atol=1e-12)
+    down = apply(coupler, one_hot("down", "0", 6))
+    np.testing.assert_allclose(down.amplitudes, -one_hot("down", "0p", 6).amplitudes, atol=1e-12)
     # dot 1 is not part of the coupler
-    spectator = apply(coupler, basis_state("down", "1", 6))
-    np.testing.assert_allclose(spectator.amplitudes, basis_state("down", "1", 6).amplitudes, atol=1e-15)
+    spectator = apply(coupler, one_hot("down", "1", 6))
+    np.testing.assert_allclose(spectator.amplitudes, one_hot("down", "1", 6).amplitudes, atol=1e-15)
 
 
 def test_three_dot_matches_two_dot_classification():
@@ -144,16 +139,16 @@ def test_three_dot_matches_two_dot_classification():
 
 
 def test_dot_occupancy_cases():
-    assert dot_occupancy(basis_state("up", "1", 4), "1") == pytest.approx(1.0)
-    split = apply(rx_mode(math.pi / 4, ("0", "1"), 4), basis_state("up", "0", 4))
+    assert dot_occupancy(one_hot("up", "1", 4), "1") == pytest.approx(1.0)
+    split = apply(rx_mode(math.pi / 4, ("0", "1"), 4), one_hot("up", "0", 4))
     assert dot_occupancy(split, "1") == pytest.approx(0.5, abs=1e-12)
-    out = apply(ideal_sequence(), SpinInput(math.pi / 3).to_state(4))
+    out = apply(noisy_sequence(GateParams.ideal()), SpinInput(math.pi / 3).to_state(4))
     assert dot_occupancy(out, "1") == pytest.approx(0.75, abs=1e-12)
 
 
 def test_dot_occupancy_rejects_bad_mode():
     with pytest.raises(ValidationError, match="0p"):
-        dot_occupancy(basis_state("up", "0", 4), "0p")
+        dot_occupancy(one_hot("up", "0", 4), "0p")
 
 
 def test_occupancies_cover_all_modes():
