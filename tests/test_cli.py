@@ -1,11 +1,13 @@
 """End-to-end checks of the command-line surface and its file formats."""
 
+import hashlib
 import json
 import math
 import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,13 +15,16 @@ import pytest
 
 import spinreadout.cli
 import spinreadout.montecarlo
-from spinreadout.cli import main
-from spinreadout.error_analysis import AxisSpec
+from spinreadout.cli import grid_to_csv, main
+from spinreadout.error_analysis import AxisSpec, panel_axes, sweep_grid
 from spinreadout.montecarlo import MAX_SHOTS
 
 from shared import GOLDEN_CSV
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+# argv -> sha256 of stdout and of the --output file (null when there is none).
+# A change that means to alter a command's bytes edits its row.
+DIGESTS = json.loads((Path(__file__).resolve().parent / "command_digests.json").read_text())
 
 GOLDEN_ARGS = [
     "errmap",
@@ -577,6 +582,35 @@ def test_readme_command_runs_as_written(capsys, monkeypatch, tmp_path, argv):
         assert out == "" and (tmp_path / argv[argv.index("--output") + 1]).stat().st_size > 0
     else:
         assert out
+
+
+def test_grid_csv_peak_memory_at_101():
+    # At most 1.5 times the 0.88 MB (tracemalloc) of the earlier per-row writer.
+    grid = sweep_grid(*panel_axes("b", 101))
+    grid_to_csv(grid)  # builds the formatter's tables
+    tracemalloc.start()
+    try:
+        grid_to_csv(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.32e6
+
+
+def test_digest_table_covers_the_readme_commands():
+    assert {shlex.join(argv) for argv in readme_commands()} <= {row["argv"] for row in DIGESTS}
+
+
+@pytest.mark.parametrize("row", DIGESTS, ids=lambda row: row["argv"])
+def test_command_bytes_match_the_digest_table(capsys, monkeypatch, tmp_path, row):
+    monkeypatch.chdir(tmp_path)
+    argv = shlex.split(row["argv"])
+    code, out, err = run(capsys, argv[1:])
+    assert code == 0, err
+    output = None
+    if "--output" in argv:
+        output = hashlib.sha256((tmp_path / argv[argv.index("--output") + 1]).read_bytes()).hexdigest()
+    assert {"argv": row["argv"], "stdout": hashlib.sha256(out.encode()).hexdigest(), "output": output} == row
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ import contextlib
 import io
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ import spinreadout.protocol
 from spinreadout import (
     AxisSpec,
     DetectorModel,
+    ErrorGrid,
     GateParams,
     SpinInput,
     ValidationError,
@@ -299,6 +301,61 @@ def test_grid_csv_equals_per_cell_format(pair, fixed, range1, range2, nums):
 def test_panel_csv_equals_per_cell_format():
     for panel in ("a", "b", "c"):
         assert_csv_matches_reference(sweep_grid(*panel_axes(panel, 101)))
+
+
+def csv_ebar_cells(values):
+    """The Ebar cells grid_to_csv writes for a 2 x len(values) grid of `values`
+    and `values` reversed."""
+    axis1, axis2 = AxisSpec("psi", 0.0, 1.0, 2), AxisSpec("phi", 0.0, 1.0, len(values))
+    grid = ErrorGrid(axis1, axis2, GateParams.ideal(), [values, values[::-1]])
+    return [line.rsplit(",", 1)[1] for line in grid_to_csv(grid).splitlines()[1:]]
+
+
+def in_guard_band(v):
+    """Whether v * 10**(12 + z), z the zeros .12g prints after "0.", lies within
+    2e-4 of a half-integer: there grid_to_csv formats v one at a time."""
+    z = sum(v < 10.0**-k for k in (1, 2, 3))
+    scaled = Fraction(v) * 10 ** (12 + z)
+    return abs(scaled - math.floor(scaled) - Fraction(1, 2)) < Fraction(2, 10**4)
+
+
+# Half-integers D + 1/2 scaled back to [1e-4, 1), kept where the nearest double
+# still lies in the guard band.
+GUARD_BAND = [
+    v
+    for k in range(12)
+    if in_guard_band(v := (123456789012 + 1000003 * k + 0.5) / 10 ** (12 + k % 4))
+]
+# Values at the edges of the integer route, and values that leave it.
+EBAR_EDGES = [
+    0.0,
+    -1e-13,  # Ebar may round below 0 by up to ATOL
+    5e-324,
+    9.99999999997e-05,  # v * 10**15 rounds to 10**11, yet .12g keeps exponent notation
+    math.nextafter(1e-4, 0.0),
+    1e-4,
+    math.nextafter(1e-4, 1.0),
+    0.09999999999999999,  # carries to 0.1
+    0.99999999999949,
+    0.9999999999995,  # in the guard band, just below the tie: rounds down
+    0.99999999999951,  # carries to 1
+    1.0,
+    1 + 1e-13,
+    7 / 65536,  # v * 10**15 is exactly a half-integer: ties to even
+    *GUARD_BAND,
+]
+
+
+def test_guard_band_search_finds_values():
+    assert len(GUARD_BAND) >= 6 and in_guard_band(7 / 65536)
+
+
+@PROPERTY
+@given(st.lists(st.floats(0.0, 1.0 + 1e-12), min_size=2, max_size=64))
+@example(EBAR_EDGES)
+@example([5e-324, 2.2250738585072014e-308, 1e-310, 0.5])
+def test_csv_ebar_cells_equal_format(values):
+    assert csv_ebar_cells(values) == [format(v, ".12g") for v in values + values[::-1]]
 
 
 # Hostile command-line values: signed zeros, subnormals, values at and past the
