@@ -181,13 +181,15 @@ def grid_to_csv(grid: ErrorGrid) -> str:
 
 
 def grid_to_json(grid: ErrorGrid) -> str:
-    payload = {
-        "axis1": asdict(grid.axis1),
-        "axis2": asdict(grid.axis2),
-        "fixed": asdict(grid.fixed),
-        "values": grid.values.tolist(),
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """Serialize a grid as a JSON object: `axis1`, `axis2` and `fixed` laid out
+    as json.dumps(..., indent=2) writes them, then `values`, one line per axis-1
+    row.  Each row is encoded in one call to json's C encoder, which indent
+    would bypass."""
+    header = json.dumps(
+        {"axis1": asdict(grid.axis1), "axis2": asdict(grid.axis2), "fixed": asdict(grid.fixed)}, indent=2
+    ).removesuffix("\n}")
+    rows = ",\n    ".join(map(json.dumps, grid.values.tolist()))
+    return f'{header},\n  "values": [\n    {rows}\n  ]\n}}\n'
 
 
 def _emit(text: str, path: str | None) -> None:

@@ -35,9 +35,8 @@ from .protocol import ReadoutProbabilities
 DEFAULT_RESOLUTION = 101
 # Largest grid sweep_grid builds.  By tracemalloc, an errmap run peaks at about
 # 95 B per node for CSV (201^2 to 1000^2; 86 B of it in grid_to_csv, which holds
-# its 43 B of text twice, as blocks and then joined) and 150 B per node for
-# JSON (201^2 to 801^2), so 4e6 nodes (2000^2) cap one run at about 0.7 GB
-# (JSON at 2000^2: 693 MB RSS).
+# its 43 B of text twice, as blocks and then joined) and 75 B per node for
+# JSON (201^2 to 801^2), so 4e6 nodes (2000^2) cap one run at about 0.4 GB.
 MAX_GRID_NODES = 4_000_000
 DEFAULT_THETA_RANGE = (0.0, math.pi / 2)
 DEFAULT_PHASE_RANGE = (0.0, 2 * math.pi)

@@ -78,30 +78,6 @@ def test_protocol_three_dot_spin_down_lands_in_dot0p(capsys):
     assert report["unconverted"] <= 1e-12
 
 
-def test_protocol_rejects_delta_out_of_range(capsys):
-    code, _, err = run(capsys, ["protocol", "--delta", "4.0"])
-    assert code == 2
-    assert "delta" in err
-
-
-def test_protocol_rejects_infinite_angle(capsys):
-    code, _, err = run(capsys, ["protocol", "--delta", "1", "--theta1", "inf"])
-    assert code == 2
-    assert "theta1" in err
-
-
-def test_protocol_three_dot_rejects_gate_angles(capsys):
-    code, _, err = run(capsys, ["protocol", "--variant", "three-dot", "--delta", "1.0", "--theta1", "0.5"])
-    assert code == 2
-    assert "theta1" in err
-
-
-def test_protocol_ideal_conflicts_with_explicit_angles(capsys):
-    code, _, err = run(capsys, ["protocol", "--delta", "1.0", "--ideal", "--psi", "0.3"])
-    assert code == 2
-    assert "ideal" in err
-
-
 def test_protocol_unset_angles_default_to_ideal(capsys):
     code, out, _ = run(capsys, ["protocol", "--delta", "1.0", "--psi", "0.3"])
     assert code == 0
@@ -141,24 +117,6 @@ def test_errmap_golden_sample_bytes(capsys, tmp_path):
     code, out, _ = run(capsys, GOLDEN_ARGS)
     assert code == 0
     assert out == GOLDEN_CSV
-
-
-def test_errmap_row_count_and_ordering(capsys):
-    code, out, _ = run(capsys, ["errmap", "--panel", "b", "--resolution", "4"])
-    assert code == 0
-    rows = parse_csv(out)
-    assert len(rows) == 16
-    # axis1 slowest: the first four rows share the first axis value
-    assert len({row[0] for row in rows[:4]}) == 1
-    assert len({row[1] for row in rows[:4]}) == 4
-
-
-def test_errmap_csv_reparses_to_12_digits(capsys):
-    code, out, _ = run(capsys, ["errmap", "--panel", "c", "--resolution", "3"])
-    assert code == 0
-    for row in parse_csv(out):
-        for value in row:
-            assert float(format(value, ".12g")) == value
 
 
 def test_errmap_json_round_trip(capsys):
@@ -308,6 +266,9 @@ TWO_PI = "6.283185307179586"
         (["errmap", "--panel", "custom", "--axis1", "theta", "--axis2", "psi",
           "--range1", "0,1", "--range2", "0,1", "--theta2", "0.7"], "theta2"),
         (["protocol", "--variant", "three-dot", "--delta", "1", "--psi", "0.2"], "psi"),
+        (["protocol", "--delta", "1", "--theta1", "inf"], "theta1"),
+        (["protocol", "--variant", "three-dot", "--delta", "1.0", "--theta1", "0.5"], "theta1"),
+        (["protocol", "--delta", "1.0", "--ideal", "--psi", "0.3"], "ideal"),
     ],
 )
 def test_gate_flag_is_applied_or_rejected(capsys, tmp_path, argv, field):
@@ -435,18 +396,6 @@ def test_dash_led_token_after_a_switch_or_a_spelt_value_exits_2(capsys, tmp_path
         assert code == 2 and out == "" and not path.exists()
 
 
-def test_montecarlo_deterministic_json(capsys, tmp_path):
-    first, second = tmp_path / "a.json", tmp_path / "b.json"
-    argv = ["montecarlo", "--delta", "0", "--ideal", "--shots", "100", "--seed", "11"]
-    assert run(capsys, argv + ["--output", str(first)])[0] == 0
-    assert run(capsys, argv + ["--output", str(second)])[0] == 0
-    assert first.read_bytes() == second.read_bytes()
-    payload = json.loads(first.read_text())
-    assert set(payload) == {"shots", "detected_dot1", "seed", "estimated_p_up", "analytic_p_up"}
-    assert payload["detected_dot1"] == 100
-    assert payload["analytic_p_up"] == pytest.approx(1.0, abs=1e-12)
-
-
 def test_montecarlo_superposition_statistics(capsys):
     code, out, _ = run(
         capsys,
@@ -567,23 +516,6 @@ def readme_commands():
     return [argv for argv in lines if argv]
 
 
-def test_readme_command_block_parses_to_its_eleven_commands():
-    commands = readme_commands()
-    assert len(commands) == 11
-    assert {argv[0] for argv in commands} == {"spinreadout"}
-
-
-@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
-def test_readme_command_runs_as_written(capsys, monkeypatch, tmp_path, argv):
-    monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, argv[1:])
-    assert code == 0, err
-    if "--output" in argv:
-        assert out == "" and (tmp_path / argv[argv.index("--output") + 1]).stat().st_size > 0
-    else:
-        assert out
-
-
 def test_grid_csv_peak_memory_at_101():
     # At most 1.5 times the 0.88 MB (tracemalloc) of the earlier per-row writer.
     grid = sweep_grid(*panel_axes("b", 101))
@@ -598,7 +530,10 @@ def test_grid_csv_peak_memory_at_101():
 
 
 def test_digest_table_covers_the_readme_commands():
-    assert {shlex.join(argv) for argv in readme_commands()} <= {row["argv"] for row in DIGESTS}
+    # The count keeps a parser that finds no command from passing vacuously.
+    commands = readme_commands()
+    assert len(commands) == 11
+    assert {shlex.join(argv) for argv in commands} <= {row["argv"] for row in DIGESTS}
 
 
 @pytest.mark.parametrize("row", DIGESTS, ids=lambda row: row["argv"])

@@ -16,6 +16,7 @@ from spinreadout import (
     rz_spin,
     u2_general,
 )
+from spinreadout.core import MAX_ANGLE
 
 from shared import one_hot
 
@@ -159,15 +160,6 @@ def test_rx_mode_inverse_and_additivity():
         np.testing.assert_allclose(added.matrix, rx_mode(t1 + t2, ("0", "1"), 4).matrix, atol=1e-12)
 
 
-def test_constructors_produce_certified_unitaries():
-    rng = np.random.default_rng(17)
-    for _ in range(200):
-        theta = rng.uniform(-10, 10)
-        for gate in (rx_mode(theta, ("0", "1"), 4), rz_spin(theta, "0", 4)):
-            defect = np.max(np.abs(gate.matrix.conj().T @ gate.matrix - np.eye(4)))
-            assert defect <= 1e-12
-
-
 def test_statevector_rejects_bad_input():
     with pytest.raises(ValidationError, match="norm"):
         StateVector(np.array([1.0, 1.0, 0.0, 0.0]))
@@ -278,7 +270,10 @@ def test_gate_params_ideal():
 
 
 @pytest.mark.parametrize("field", ["theta1", "theta2", "psi", "phi"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
+@pytest.mark.parametrize(
+    "bad",
+    [math.nan, math.inf, -math.inf, 1e308, math.nextafter(MAX_ANGLE, math.inf), -math.nextafter(MAX_ANGLE, math.inf)],
+)
 def test_gate_params_reject_non_finite_angles(field, bad):
     angles = {"theta1": 0.1, "theta2": 0.2, "psi": 0.3, "phi": 0.4, field: bad}
     with pytest.raises(ValidationError, match=field) as excinfo:

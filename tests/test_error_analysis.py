@@ -19,46 +19,12 @@ from spinreadout import (
     run_readout,
     sweep_grid,
 )
-from spinreadout.core import MAX_ANGLE
 from spinreadout.error_analysis import MAX_GRID_NODES
 from spinreadout.quadrature import avg_abs_error_quadrature, integrate_adaptive
 
 
 def random_params(rng):
     return GateParams(*rng.uniform(0, math.pi, 2), *rng.uniform(0, 2 * math.pi, 2))
-
-
-def test_closed_form_matches_matrix_oracle():
-    rng = np.random.default_rng(12)
-    worst = 0.0
-    for _ in range(2000):
-        params = random_params(rng)
-        delta = rng.uniform(0, math.pi)
-        cf = probabilities_closed_form(params, delta)
-        _, mx = run_readout(SpinInput(delta), params)
-        worst = max(worst, abs(cf.p_up - mx.p_up), abs(cf.p_down - mx.p_down))
-    assert worst <= 1e-12
-
-
-def test_closed_form_matches_matrix_oracle_up_to_max_angle():
-    rng = np.random.default_rng(13)
-    worst = 0.0
-    for _ in range(300):
-        params = GateParams(*rng.uniform(-MAX_ANGLE, MAX_ANGLE, 4))
-        delta = rng.uniform(0, math.pi)
-        cf = probabilities_closed_form(params, delta)
-        _, mx = run_readout(SpinInput(delta), params)
-        worst = max(worst, abs(cf.p_up - mx.p_up), abs(cf.p_down - mx.p_down))
-    assert worst <= 1e-12
-    GateParams(MAX_ANGLE, -MAX_ANGLE, MAX_ANGLE, -MAX_ANGLE)
-    with pytest.raises(ValidationError, match="theta1"):
-        GateParams(math.nextafter(MAX_ANGLE, math.inf), 0.0, 0.0, 0.0)
-
-
-def test_closed_form_recovers_ideal_probabilities():
-    for delta in np.linspace(0, math.pi, 101):
-        probs = probabilities_closed_form(GateParams.ideal(), float(delta))
-        assert probs.p_up == pytest.approx(math.cos(delta / 2) ** 2, abs=1e-12)
 
 
 def test_closed_form_without_tunneling_never_reaches_dot1():
@@ -130,16 +96,6 @@ def test_extremal_error_cases():
     assert result.e_min == pytest.approx(-0.5, abs=1e-12)
 
 
-def test_extremal_error_envelope_on_random_params():
-    rng = np.random.default_rng(19)
-    for _ in range(300):
-        params = random_params(rng)
-        result = extremal_error(params)
-        errors = [measurement_error(params, float(d)) for d in np.linspace(0.0, math.pi, 101)]
-        assert (result.e_min, result.e_max) == (errors[0], errors[-1])
-        assert all(result.e_min <= e <= result.e_max for e in errors)
-
-
 def test_avg_abs_error_ideal_and_no_tunneling():
     assert avg_abs_error(GateParams.ideal()) == 0.0
     rng = np.random.default_rng(6)
@@ -147,13 +103,6 @@ def test_avg_abs_error_ideal_and_no_tunneling():
         params = GateParams(0.0, 0.0, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
         assert avg_abs_error(params) == pytest.approx(0.5, abs=1e-12)
         assert avg_abs_error_quadrature(params) == pytest.approx(0.5, abs=1e-9)
-
-
-def test_avg_abs_error_methods_agree():
-    rng = np.random.default_rng(15)
-    for _ in range(300):
-        params = random_params(rng)
-        assert avg_abs_error(params) == pytest.approx(avg_abs_error_quadrature(params), abs=1e-9)
 
 
 def test_avg_abs_error_is_nonnegative_and_periodic():

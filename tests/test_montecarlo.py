@@ -66,23 +66,6 @@ def test_equal_superposition_statistics():
     assert 0.48 <= record.estimated_p_up <= 0.52
 
 
-def test_empirical_frequency_tracks_analytic_probability():
-    rng = np.random.default_rng(77)
-    shots = 10_000
-    hits = 0
-    for i in range(30):
-        params = GateParams(*rng.uniform(0, math.pi, 2), *rng.uniform(0, 2 * math.pi, 2))
-        spin = SpinInput(rng.uniform(0, math.pi))
-        detector = DetectorModel(rng.uniform(0.7, 1.0), rng.uniform(0.0, 0.2))
-        record = sample_readout(spin, params, shots=shots, seed=1000 + i, detector=detector)
-        out = apply(noisy_sequence(params), spin.to_state(4))
-        p = effective_outcome_probability(dot_occupancy(out, "1"), detector)
-        sigma = math.sqrt(p * (1 - p) / shots)
-        if abs(record.estimated_p_up - p) <= 4 * sigma:
-            hits += 1
-    assert hits >= 29
-
-
 def test_detector_channel_arithmetic():
     ideal = DetectorModel()
     assert effective_outcome_probability(0.37, ideal) == 0.37

@@ -116,6 +116,7 @@ def test_error_slope_is_never_positive(params):
 @given(ALL_GATES, DELTAS)
 def test_error_extremes_sit_at_zero_and_pi(params, delta):
     extremes = extremal_error(params)
+    assert extremes == (measurement_error(params, 0.0), measurement_error(params, math.pi))
     assert extremes.e_min <= measurement_error(params, delta) <= extremes.e_max
 
 
@@ -153,6 +154,7 @@ def test_noisy_sequence_equals_composed_gates(params):
 
 @PROPERTY
 @given(ALL_GATES, DELTAS, GAMMAS)
+@example(GateParams(MAX_ANGLE, -MAX_ANGLE, MAX_ANGLE, -MAX_ANGLE), math.pi / 2, 0.0)
 def test_closed_form_equals_the_matrix_path(params, delta, gamma):
     _, matrix = run_readout(SpinInput(delta, gamma), params)
     closed = probabilities_closed_form(params, delta)

@@ -25,22 +25,6 @@ from shared import one_hot
 SQ2 = 1 / math.sqrt(2)
 
 
-def test_ideal_sequence_is_block_diag_isx_minus_sz():
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 1] = expected[1, 0] = 1j  # i*sigma_x on the spin-up modes
-    expected[2, 2] = -1.0  # -sigma_z on the spin-down modes
-    expected[3, 3] = 1.0
-    np.testing.assert_allclose(noisy_sequence(GateParams.ideal()).matrix, expected, atol=1e-12)
-
-
-def test_ideal_sequence_converts_spin_to_charge():
-    ideal = noisy_sequence(GateParams.ideal())
-    up = apply(ideal, one_hot("up", "0", 4))
-    np.testing.assert_allclose(up.amplitudes, [0, 1j, 0, 0], atol=1e-12)
-    down = apply(ideal, one_hot("down", "0", 4))
-    np.testing.assert_allclose(down.amplitudes, [0, 0, -1, 0], atol=1e-12)
-
-
 def test_ideal_sequence_on_equal_superposition():
     state = SpinInput(math.pi / 2, 0.0).to_state(4)
     out = apply(noisy_sequence(GateParams.ideal()), state)
@@ -80,30 +64,6 @@ def test_run_readout_deterministic_cases():
     assert probs.p_up == pytest.approx(0.5, abs=1e-12)
     _, probs = run_readout(SpinInput(math.pi), GateParams.ideal())
     assert probs.p_down == pytest.approx(1.0, abs=1e-12)
-
-
-def test_run_readout_probabilities_sum_to_one():
-    rng = np.random.default_rng(9)
-    for _ in range(1000):
-        params = GateParams(*rng.uniform(0, math.pi, 2), *rng.uniform(0, 2 * math.pi, 2))
-        spin = SpinInput(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        _, probs = run_readout(spin, params)
-        assert abs(probs.p_up + probs.p_down - 1.0) <= 1e-12
-
-
-def test_run_readout_ignores_relative_phase():
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        params = GateParams(*rng.uniform(0, math.pi, 2), *rng.uniform(0, 2 * math.pi, 2))
-        delta = rng.uniform(0, math.pi)
-        values = [
-            run_readout(SpinInput(delta, gamma), params)[1].p_up
-            for gamma in rng.uniform(0, 2 * math.pi, 10)
-        ]
-        assert max(values) - min(values) < 1e-12
-    base = run_readout(SpinInput(0.8, 0.0), GateParams.ideal())[1]
-    other = run_readout(SpinInput(0.8, 1.234), GateParams.ideal())[1]
-    assert base.p_up == pytest.approx(other.p_up, abs=1e-12)
 
 
 def test_three_dot_sequence_mappings():
