@@ -78,6 +78,12 @@ def test_protocol_three_dot_spin_down_lands_in_dot0p(capsys):
     assert report["unconverted"] <= 1e-12
 
 
+def test_protocol_rejects_delta_out_of_range(capsys):
+    code, _, err = run(capsys, ["protocol", "--delta", "4.0"])
+    assert code == 2
+    assert "delta" in err
+
+
 def test_protocol_unset_angles_default_to_ideal(capsys):
     code, out, _ = run(capsys, ["protocol", "--delta", "1.0", "--psi", "0.3"])
     assert code == 0

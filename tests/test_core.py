@@ -160,6 +160,15 @@ def test_rx_mode_inverse_and_additivity():
         np.testing.assert_allclose(added.matrix, rx_mode(t1 + t2, ("0", "1"), 4).matrix, atol=1e-12)
 
 
+def test_constructors_produce_certified_unitaries():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        theta = rng.uniform(-10, 10)
+        for gate in (rx_mode(theta, ("0", "1"), 4), rz_spin(theta, "0", 4)):
+            defect = np.max(np.abs(gate.matrix.conj().T @ gate.matrix - np.eye(4)))
+            assert defect <= 1e-12
+
+
 def test_statevector_rejects_bad_input():
     with pytest.raises(ValidationError, match="norm"):
         StateVector(np.array([1.0, 1.0, 0.0, 0.0]))

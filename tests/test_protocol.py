@@ -25,6 +25,14 @@ from shared import one_hot
 SQ2 = 1 / math.sqrt(2)
 
 
+def test_ideal_sequence_is_block_diag_isx_minus_sz():
+    expected = np.zeros((4, 4), dtype=complex)
+    expected[0, 1] = expected[1, 0] = 1j  # i*sigma_x on the spin-up modes
+    expected[2, 2] = -1.0  # -sigma_z on the spin-down modes
+    expected[3, 3] = 1.0
+    np.testing.assert_allclose(noisy_sequence(GateParams.ideal()).matrix, expected, atol=1e-12)
+
+
 def test_ideal_sequence_on_equal_superposition():
     state = SpinInput(math.pi / 2, 0.0).to_state(4)
     out = apply(noisy_sequence(GateParams.ideal()), state)
