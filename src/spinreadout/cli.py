@@ -1,21 +1,18 @@
-"""Command-line front-end: run readout sequences, emit error grids, sample
-single-shot statistics, and evaluate device parameters.
+"""Command-line front-end: parse the flags, run a handler, write what it returns.
 
-Output is deterministic for a fixed flag set (including --seed).  Grids
-default to CSV, everything else to JSON; reports go to stdout unless
---output is given.  Validation happens before any computation or file I/O,
-so a failed run never leaves a partial output file.
+A handler maps the parsed flags to a value: an ErrorGrid, a ShotRecord, the
+protocol report or a device calculator's (value, unit) pair.  `main` turns it
+into text with a writer from `report` and sends that to stdout or --output.
+Output is deterministic for a fixed flag set (including --seed).  Validation
+runs before any computation or file I/O, so a failed run leaves no partial file.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-from dataclasses import asdict, replace
-
-import numpy as np
+from dataclasses import replace
 
 from .core import (
     DOT0,
@@ -46,8 +43,9 @@ from .error_analysis import (
     panel_axes,
     sweep_grid,
 )
-from .montecarlo import DetectorModel, sample_readout
+from .montecarlo import DetectorModel, ShotRecord, sample_readout
 from .protocol import occupancies, run_readout, three_dot_sequence
+from .report import grid_to_csv, grid_to_json, report_json, value_line
 
 _ANGLE_FLAGS = ("theta1", "theta2", "psi", "phi")
 _THREE_DOT_FIXED = dict.fromkeys(_ANGLE_FLAGS, "the three-dot variant runs fixed ideal gates only")
@@ -60,136 +58,6 @@ _TWO_DOT_LABELS = {
     "g1": (SPIN_UP, DOT1),
     "g2": (SPIN_DOWN, DOT1),
 }
-
-
-def _complex_json(z: complex) -> dict[str, float]:
-    return {"re": z.real, "im": z.imag}
-
-
-# Nodes serialized per block.  At 101^2, blocks of 4096 nodes peak at 0.9 MB
-# by tracemalloc and add 0.7 MB to a process's peak RSS; one 10201-node block
-# peaked at 1.15 MB and added 1.1 MB.
-_BLOCK_NODES = 1 << 12
-_NEWLINE_WORD = int.from_bytes(b"\n\0\0\0", sys.byteorder)
-
-
-@functools.cache
-def _slot_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The formatter's tables, built on first use: the "%04d" bytes of each
-    group 0..9999 as one uint32, its trailing zeros (4 for 0), and, at row
-    4 * trailing zeros of D + z, the slot bytes .12g keeps as (48, 5) uint32."""
-    rest = np.arange(10_000)
-    ascii_digits = np.empty((10_000, 4), np.uint8)
-    trailing = np.zeros(10_000, np.uint8)
-    zero_tail = np.ones(10_000, bool)
-    for k in (3, 2, 1, 0):
-        rest, digit = np.divmod(rest, 10)
-        ascii_digits[:, k] = digit + ord("0")
-        zero_tail &= digit == 0
-        trailing += zero_tail
-    # A slot is 20 bytes: "\0\0\0", "0.", three zeros, then D's 12 digits as
-    # three groups, which the 0xff bytes let through.
-    template = np.frombuffer(b"\0\0\x000.000" + b"\xff" * 12, np.uint8)
-    col = np.arange(20)
-    zeros, end = np.arange(4)[None, :, None], 20 - np.arange(12)[:, None, None]
-    keep = ((col >= 3) & (col < 5 + zeros)) | ((col >= 8) & (col < end))
-    masks = np.where(keep, template, 0).astype(np.uint8)
-    return ascii_digits.view(np.uint32)[:, 0], trailing, masks.reshape(48, 20).view(np.uint32)
-
-
-def _padded(cells: list[str], width: int) -> np.ndarray:
-    """ASCII cells as a (len(cells), width) uint8 array, each NUL-padded on the right."""
-    text = "".join([cell.ljust(width, "\0") for cell in cells]).encode("ascii")
-    return np.frombuffer(text, np.uint8).reshape(len(cells), width)
-
-
-def _axis_cells(values: np.ndarray) -> np.ndarray:
-    """format(v, ".12g") + "," of each axis value, NUL-padded to whole uint32 words."""
-    cells = [f"{v:.12g}," for v in values.tolist()]
-    return _padded(cells, -(-max(map(len, cells)) // 4) * 4).view(np.uint32)
-
-
-def _ebar_slots(v: np.ndarray) -> np.ndarray:
-    """format(x, ".12g") of each x in v as a NUL-padded slot, (len(v), 5) uint32."""
-    groups, trailing, masks = _slot_tables()
-    zeros = (v < 0.1).astype(np.uint8) + (v < 0.01) + (v < 0.001)
-    m = v * np.array([1e12, 1e13, 1e14, 1e15])[zeros]
-    d = np.rint(m)
-    fallback = (v < 1e-4) | (d >= 1e12) | (np.abs(m - d) > 0.4998)
-    hi, g2 = np.divmod(d.clip(1e11, 1e12 - 1).astype(np.int64), 10_000)
-    g0, g1 = np.divmod(hi, 10_000)
-    tail = trailing[g2] + (g2 == 0) * (trailing[g1] + (g1 == 0) * trailing[g0])
-    slots = masks[4 * tail + zeros]
-    slots[:, 2] &= groups[g0]
-    slots[:, 3] &= groups[g1]
-    slots[:, 4] &= groups[g2]
-    rest = np.flatnonzero(fallback)
-    if rest.size:
-        slots[rest] = _padded([format(x, ".12g") for x in v[rest].tolist()], 20).view(np.uint32)
-    return slots
-
-
-def _padded_rows(col1: np.ndarray, col2: np.ndarray, block: np.ndarray) -> bytearray:
-    """The CSV rows of a block of nodes, each NUL-padded to whole uint32 words."""
-    slots = _ebar_slots(block.ravel())
-    r, c = block.shape
-    w1, w2 = col1.shape[1], col2.shape[1]
-    buf = bytearray(r * c * (w1 + w2 + 6) * 4)
-    words = np.frombuffer(buf, np.uint32).reshape(r, c, w1 + w2 + 6)
-    words[..., :w1] = col1[:, None]
-    words[..., w1 : w1 + w2] = col2[None, :]
-    words[..., w1 + w2 : -1] = slots.reshape(r, c, 5)
-    words[..., -1] = _NEWLINE_WORD
-    return buf
-
-
-def grid_to_csv(grid: ErrorGrid) -> str:
-    """Serialize a grid as `axis1,axis2,Ebar` rows, axis1 slowest, each cell
-    reading as format(v, ".12g"), '\\n' line endings.
-
-    Each block of at most _BLOCK_NODES nodes is laid out as NUL-padded rows of
-    uint32 words, whose NULs are then deleted.  Axis cells are formatted once
-    per axis; Ebar values are written from integers, not formatted one by one.
-
-    For v in [1e-4, 1), .12g prints "0.", then z zeros, then the 12 digits of
-    D = v * 10**(12 + z) rounded half to even, less their trailing zeros.  z
-    counts v < 0.1, v < 0.01 and v < 0.001; each of those doubles lies above
-    its power of ten, so the comparisons are exact.  m = v * 10**(12 + z) is
-    one correctly rounded product (the power of ten is exact) and m < 2**40,
-    so m is within half an ulp, 2**-14 = 6.1e-5, of the exact product.  Hence
-    rint(m) == D whenever |m - rint(m)| <= 0.4998: the exact product is then
-    nearer than 0.5 to rint(m).  The nodes in the guard band |m - rint(m)| >
-    0.4998 (2e-4 wide, three times the error) take format(v, ".12g") instead,
-    as do values below 1e-4 (0, negatives, exponent notation) and every
-    D >= 10**12: the values from 1 up, and the carry of values that round up
-    to the next power of ten.
-    """
-    col1, col2 = _axis_cells(grid.axis1.values()), _axis_cells(grid.axis2.values())
-    n1, n2 = grid.values.shape
-    rows, cols = max(1, _BLOCK_NODES // n2), min(n2, _BLOCK_NODES)
-    parts = ["axis1,axis2,Ebar\n"]
-    for r0 in range(0, n1, rows):
-        for c0 in range(0, n2, cols):
-            block = grid.values[r0 : r0 + rows, c0 : c0 + cols]
-            # Chained, so each buffer is freed as soon as the next one is made.
-            parts.append(
-                _padded_rows(col1[r0 : r0 + rows], col2[c0 : c0 + cols], block)
-                .translate(None, b"\0")
-                .decode("ascii")
-            )
-    return "".join(parts)
-
-
-def grid_to_json(grid: ErrorGrid) -> str:
-    """Serialize a grid as a JSON object: `axis1`, `axis2` and `fixed` laid out
-    as json.dumps(..., indent=2) writes them, then `values`, one line per axis-1
-    row.  Each row is encoded in one call to json's C encoder, which indent
-    would bypass."""
-    header = json.dumps(
-        {"axis1": asdict(grid.axis1), "axis2": asdict(grid.axis2), "fixed": asdict(grid.fixed)}, indent=2
-    ).removesuffix("\n}")
-    rows = ",\n    ".join(map(json.dumps, grid.values.tolist()))
-    return f'{header},\n  "values": [\n    {rows}\n  ]\n}}\n'
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -229,7 +97,7 @@ def _params_from_args(args: argparse.Namespace, fixed: dict[str, str]) -> GatePa
     return replace(GateParams.ideal(), **explicit)
 
 
-def _cmd_protocol(args: argparse.Namespace) -> str:
+def _cmd_protocol(args: argparse.Namespace) -> dict:
     spin_in = SpinInput(args.delta, args.gamma)
     three_dot = args.variant == "three-dot"
     params = _params_from_args(args, _THREE_DOT_FIXED if three_dot else {})
@@ -238,22 +106,20 @@ def _cmd_protocol(args: argparse.Namespace) -> str:
         state = apply(three_dot_sequence(), spin_in.to_state(6))
         labels = {f"{spin};{mode}": (spin, mode) for spin in SPINS for mode in THREE_DOT_MODES}
     else:
-        report["params"] = asdict(params)
+        report["params"] = params
         state, _ = run_readout(spin_in, params)
         labels = _TWO_DOT_LABELS
     occ = occupancies(state)
-    report["amplitudes"] = {
-        label: _complex_json(state.amplitude(spin, mode)) for label, (spin, mode) in labels.items()
-    }
+    report["amplitudes"] = {label: state.amplitude(spin, mode) for label, (spin, mode) in labels.items()}
     report["occupancy"] = occ
     report["p_up"] = occ[DOT1]
     report["p_down"] = occ[DOT0P if three_dot else DOT0]
     if three_dot:
         report["unconverted"] = occ[DOT0]
-    return json.dumps(report, indent=2) + "\n"
+    return report
 
 
-def _cmd_errmap(args: argparse.Namespace) -> str:
+def _cmd_errmap(args: argparse.Namespace) -> ErrorGrid:
     range1 = None if args.range1 is None else _parse_pair(args.range1, "range1", ",", "LO,HI")
     range2 = None if args.range2 is None else _parse_pair(args.range2, "range2", ",", "LO,HI")
     if args.panel == "custom":
@@ -275,22 +141,20 @@ def _cmd_errmap(args: argparse.Namespace) -> str:
         for k, axis in enumerate((axis1, axis2), 1)
         for gate in axis.gates
     }
-    grid = sweep_grid(axis1, axis2, _params_from_args(args, swept))
-    return grid_to_csv(grid) if args.format == "csv" else grid_to_json(grid)
+    return sweep_grid(axis1, axis2, _params_from_args(args, swept))
 
 
-def _cmd_montecarlo(args: argparse.Namespace) -> str:
+def _cmd_montecarlo(args: argparse.Namespace) -> ShotRecord:
     spin_in = SpinInput(args.delta, args.gamma)
     params = _params_from_args(args, {})
     detector = DetectorModel(args.efficiency, args.false_positive)
-    record = sample_readout(spin_in, params, args.shots, args.seed, detector)
-    return json.dumps(asdict(record), indent=2) + "\n"
+    return sample_readout(spin_in, params, args.shots, args.seed, detector)
 
 
-def _cmd_pulse_angle(args: argparse.Namespace) -> str:
+def _cmd_pulse_angle(args: argparse.Namespace) -> tuple[float, str]:
     pairs = args.segments.split(",")
     segments = tuple(_parse_pair(pair, "segments", ":", "AMP_UEV:DURATION_PS") for pair in pairs)
-    return f"{pulse_angle(PulseSpec(segments))!r} rad\n"
+    return pulse_angle(PulseSpec(segments)), "rad"
 
 
 def _add_spin_flags(parser: argparse.ArgumentParser) -> None:
@@ -322,7 +186,8 @@ def _add_output_flag(parser: argparse.ArgumentParser) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and reused by `main`;
-    each command names its handler, which maps the parsed flags to the report."""
+    each command names its handler, which maps the parsed flags to the value
+    that `main` writes."""
     parser = argparse.ArgumentParser(
         prog="spinreadout",
         description="Simulate single-spin readout by spin-to-charge conversion.",
@@ -374,19 +239,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_for.add_argument("--angle", type=float, required=True, help="target rotation, radians")
     p_for.add_argument("--duration", type=float, required=True, help="pulse duration, ps")
     _add_output_flag(p_for)
-    p_for.set_defaults(handler=lambda a: f"{pulse_for_angle(a.angle, a.duration)!r} ueV\n")
+    p_for.set_defaults(handler=lambda a: (pulse_for_angle(a.angle, a.duration), "ueV"))
 
     r_len = calc.add_parser("rashba-length", help="region length for a target spin rotation")
     _add_material_flags(r_len)
     r_len.add_argument("--angle", type=float, required=True, help="target spin rotation, radians")
     _add_output_flag(r_len)
-    r_len.set_defaults(handler=lambda a: f"{rashba_length(a.alpha, a.mass, a.angle)!r} nm\n")
+    r_len.set_defaults(handler=lambda a: (rashba_length(a.alpha, a.mass, a.angle), "nm"))
 
     r_ang = calc.add_parser("rashba-angle", help="spin rotation accumulated over a region length")
     _add_material_flags(r_ang)
     r_ang.add_argument("--length", type=float, required=True, help="region length, nm")
     _add_output_flag(r_ang)
-    r_ang.set_defaults(handler=lambda a: f"{rashba_angle(a.alpha, a.mass, a.length)!r} rad\n")
+    r_ang.set_defaults(handler=lambda a: (rashba_angle(a.alpha, a.mass, a.length), "rad"))
 
     return parser
 
@@ -416,7 +281,7 @@ def _reject_empty_values(args: argparse.Namespace) -> None:
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit status, whatever the argv: 0 on
     success, 2 for bad input, 1 when the output cannot be written or memory
-    runs out."""
+    runs out.  Parse, compute, serialize and write are four separate calls."""
     if argv is None:
         argv = sys.argv[1:]
     try:
@@ -425,7 +290,13 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     try:
         _reject_empty_values(args)
-        _emit(args.handler(args), args.output)
+        result = args.handler(args)
+        # Looked up at call time, so a tracer that rebinds grid_to_csv here times it.
+        if isinstance(result, ErrorGrid):
+            text = grid_to_csv(result) if args.format == "csv" else grid_to_json(result)
+        else:
+            text = value_line(*result) if isinstance(result, tuple) else report_json(result)
+        _emit(text, args.output)
         return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

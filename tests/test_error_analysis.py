@@ -11,7 +11,6 @@ from spinreadout import (
     SpinInput,
     ValidationError,
     avg_abs_error,
-    error_coefficients,
     extremal_error,
     measurement_error,
     panel_axes,
@@ -83,13 +82,6 @@ def test_error_is_affine_in_cos_delta():
             assert measurement_error(params, float(delta)) == pytest.approx(predicted, abs=1e-12)
 
 
-def test_error_slope_coefficient_is_never_positive():
-    rng = np.random.default_rng(23)
-    for _ in range(500):
-        _, c1 = error_coefficients(random_params(rng))
-        assert c1 <= 0.0
-
-
 def test_extremal_error_cases():
     assert extremal_error(GateParams.ideal()) == pytest.approx((0.0, 0.0), abs=1e-12)
     result = extremal_error(GateParams(math.pi / 4, math.pi / 4, 0.0, math.pi))
@@ -131,16 +123,6 @@ def test_sweep_grid_degenerate_ideal_point_is_zero():
     axis2 = AxisSpec("theta2", quarter, quarter, 2)
     grid = sweep_grid(axis1, axis2, GateParams.ideal())
     np.testing.assert_array_equal(grid.values, np.zeros((2, 2)))
-
-
-def test_sweep_grid_nodes_match_direct_evaluation():
-    axis1 = AxisSpec("theta1", 0.2, 1.1, 3)
-    axis2 = AxisSpec("psi", 0.0, 2.0, 4)
-    fixed = GateParams.ideal()
-    grid = sweep_grid(axis1, axis2, fixed)
-    assert grid.values.shape == (3, 4)
-    direct = avg_abs_error(GateParams(1.1, fixed.theta2, 2.0, fixed.phi))
-    assert grid.values[2, 3] == pytest.approx(direct, abs=1e-15)
 
 
 def test_sweep_grid_panel_c_applies_locks():

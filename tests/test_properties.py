@@ -76,6 +76,12 @@ AXIS_PAIRS = [
 ]
 
 
+def axis_nodes(start, stop, num):
+    """`num` evenly spaced nodes from `start` to `stop`, both ends included."""
+    step = (stop - start) / (num - 1)
+    return [start + k * step for k in range(num - 1)] + [stop]
+
+
 @PROPERTY
 @given(
     pair=st.sampled_from(AXIS_PAIRS),
@@ -88,9 +94,9 @@ def test_grid_nodes_equal_scalar_ebar(pair, fixed, range1, range2, nums):
     axis1 = AxisSpec(pair[0], *range1, nums[0])
     axis2 = AxisSpec(pair[1], *range2, nums[1])
     grid = sweep_grid(axis1, axis2, fixed)
-    for i, v1 in enumerate(axis1.values()):
-        for j, v2 in enumerate(axis2.values()):
-            angles = {**vars(fixed), **AXIS_WRITES[pair[0]](float(v1)), **AXIS_WRITES[pair[1]](float(v2))}
+    for i, v1 in enumerate(axis_nodes(*range1, nums[0])):
+        for j, v2 in enumerate(axis_nodes(*range2, nums[1])):
+            angles = {**vars(fixed), **AXIS_WRITES[pair[0]](v1), **AXIS_WRITES[pair[1]](v2)}
             assert abs(grid.values[i, j] - avg_abs_error(GateParams(**angles))) <= 1e-15
 
 
@@ -106,10 +112,16 @@ def test_ebar_lies_in_unit_interval(params):
     assert 0.0 <= avg_abs_error(params) <= 1.0
 
 
+# Gate sets within 0.1 rad of the ideal one, where c1 reaches its maximum, 0;
+# draws over the whole domain seldom come that near.
+NEAR_IDEAL = st.builds(GateParams, *[st.floats(a - 0.1, a + 0.1) for a in vars(GateParams.ideal()).values()])
+
+
 @PROPERTY
-@given(ALL_GATES)
-def test_error_slope_is_never_positive(params):
+@given(ALL_GATES, NEAR_IDEAL)
+def test_error_slope_is_never_positive(params, near_ideal):
     assert error_coefficients(params)[1] <= 0.0
+    assert error_coefficients(near_ideal)[1] <= 0.0
 
 
 @PROPERTY
@@ -216,18 +228,20 @@ def test_sample_readout_count_equals_per_shot_reference(params, delta, gamma, de
 
 
 ORDERED_PAIRS = st.tuples(PROBABILITIES, PROBABILITIES).map(sorted)
+# A sorted pair, then 1.0: the rates reach both sides of every value up to 1.
+RATE_CHAINS = ORDERED_PAIRS.map(lambda pair: (*pair, 1.0))
 
 
 @PROPERTY
-@given(ALL_GATES, DELTAS, GAMMAS, ORDERED_PAIRS, ORDERED_PAIRS, SHOTS, st.integers(0, 2**63))
+@given(ALL_GATES, DELTAS, GAMMAS, RATE_CHAINS, RATE_CHAINS, SHOTS, st.integers(0, 2**63))
 def test_counts_never_fall_as_the_detector_reports_more(params, delta, gamma, effs, fps, shots, seed):
     # One seed means shared uniforms, so a higher rate can only add shots.
     def count(efficiency, false_positive):
         detector = DetectorModel(efficiency, false_positive)
         return sample_readout(SpinInput(delta, gamma), params, shots, seed, detector).detected_dot1
 
-    assert count(effs[0], fps[0]) <= count(effs[1], fps[0]) <= count(effs[1], fps[1])
-    assert count(effs[0], fps[0]) <= count(effs[0], fps[1]) <= count(effs[1], fps[1])
+    counts = np.array([[count(e, f) for f in fps] for e in effs])
+    assert (np.diff(counts, axis=0) >= 0).all() and (np.diff(counts, axis=1) >= 0).all()
 
 
 @PROPERTY
