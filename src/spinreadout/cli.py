@@ -126,7 +126,7 @@ def _cmd_errmap(args: argparse.Namespace) -> ErrorGrid:
         given = {"axis1": args.axis1, "axis2": args.axis2, "range1": range1, "range2": range2}
         for flag, value in given.items():
             if value is None:
-                raise ValidationError(flag, f"panel custom needs --{flag}")
+                raise ValidationError(flag, "required by --panel custom")
             if flag.startswith("axis") and value not in AXIS_NAMES:
                 raise ValidationError(flag, f"unknown axis {value!r}, expected one of {AXIS_NAMES}")
         axis1 = AxisSpec(args.axis1, *range1, args.resolution)
@@ -134,7 +134,7 @@ def _cmd_errmap(args: argparse.Namespace) -> ErrorGrid:
     else:
         for name in ("axis1", "axis2"):
             if getattr(args, name) is not None:
-                raise ValidationError(name, "--axis1/--axis2 apply to --panel custom only")
+                raise ValidationError(name, "applies to --panel custom only")
         axis1, axis2, _ = panel_axes(args.panel, args.resolution, range1, range2)
     swept = {
         gate: f"swept by axis {k} of panel {args.panel}"

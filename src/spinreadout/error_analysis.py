@@ -144,8 +144,8 @@ class AxisSpec:
         check_integer("resolution", self.num, minimum=2)
         # The axis writes scale * v, so every gate angle it sets stays within MAX_ANGLE.
         bound = MAX_ANGLE / max(scale for _, scale in _AXIS_TARGETS[self.name])
-        check_angle("start", self.start, bound)
-        check_angle("stop", self.stop, bound)
+        check_angle(f"{self.name}.start", self.start, bound)
+        check_angle(f"{self.name}.stop", self.stop, bound)
 
     @property
     def gates(self) -> tuple[str, ...]:

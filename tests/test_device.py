@@ -4,7 +4,6 @@ import pytest
 
 from spinreadout import (
     PulseSpec,
-    ValidationError,
     pulse_angle,
     pulse_for_angle,
     rashba_angle,
@@ -49,19 +48,6 @@ def test_pulse_for_angle_reference_value():
     assert pulse_for_angle(math.pi / 4, 0.1) == pytest.approx(-5.1696, abs=1e-3)
 
 
-def test_pulse_validation():
-    with pytest.raises(ValidationError, match="segments"):
-        PulseSpec(())
-    with pytest.raises(ValidationError, match="duration"):
-        PulseSpec(((1.0, 0.0),))
-    with pytest.raises(ValidationError, match="duration"):
-        pulse_for_angle(1.0, -2.0)
-    with pytest.raises(ValidationError, match="not finite"):
-        PulseSpec(((math.nan, 1.0),))
-    with pytest.raises(ValidationError, match="not finite"):
-        PulseSpec(((1.0, math.inf),))
-
-
 def test_rashba_reference_lengths():
     inas = rashba_length(4e-11, 0.026, math.pi / 2)
     assert abs(inas - 58.0) / 58.0 < 0.02
@@ -89,18 +75,3 @@ def test_rashba_round_trip():
     for alpha, mass, angle in ((4e-11, 0.026, math.pi / 2), (1.2e-11, 0.05, 0.3)):
         length = rashba_length(alpha, mass, angle)
         assert rashba_angle(alpha, mass, length) == pytest.approx(angle, rel=1e-12)
-
-
-def test_rashba_validation():
-    with pytest.raises(ValidationError, match="alpha"):
-        rashba_length(0.0, 0.026, 1.0)
-    with pytest.raises(ValidationError, match="effective_mass"):
-        rashba_length(1e-11, -1.0, 1.0)
-    with pytest.raises(ValidationError, match="alpha"):
-        rashba_angle(-1e-11, 0.026, 58.0)
-    with pytest.raises(ValidationError, match="target_angle"):
-        rashba_length(4e-11, 0.026, math.nan)
-    with pytest.raises(ValidationError, match="alpha"):
-        rashba_length(math.nan, 0.026, 1.0)
-    with pytest.raises(ValidationError, match="effective_mass"):
-        rashba_length(4e-11, math.inf, 1.0)

@@ -452,14 +452,19 @@ def out_dir(tmp_path_factory):
 
 def check_main(argv, out_dir, to_file):
     """main returns 0, 1 or 2 without raising; a failure prints nothing on
-    stdout and leaves no file, a success prints finite numbers only."""
+    stdout and leaves no file, and a validation error prints one line that
+    names its field once; a success prints finite numbers only."""
     path = out_dir / "out"
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv + ["--output", str(path)] if to_file else argv)
     assert code in (0, 1, 2)
+    err = stderr.getvalue()
     if code:
-        assert stdout.getvalue() == "" and not path.exists() and stderr.getvalue()
+        assert stdout.getvalue() == "" and not path.exists() and err
+        if code == 2 and err.startswith("error: "):  # a ValidationError, not argparse's usage text
+            field = err[len("error: "):].split(": ", 1)[0]
+            assert err.count("\n") == 1 and err.count(field) == 1, err
     else:
         text = path.read_text() if to_file else stdout.getvalue()
         path.unlink(missing_ok=True)

@@ -5,9 +5,7 @@ import pytest
 
 from spinreadout import (
     GateParams,
-    ReadoutProbabilities,
     SpinInput,
-    ValidationError,
     apply,
     compose,
     dot_occupancy,
@@ -23,14 +21,6 @@ from spinreadout import (
 from shared import one_hot
 
 SQ2 = 1 / math.sqrt(2)
-
-
-def test_ideal_sequence_is_block_diag_isx_minus_sz():
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 1] = expected[1, 0] = 1j  # i*sigma_x on the spin-up modes
-    expected[2, 2] = -1.0  # -sigma_z on the spin-down modes
-    expected[3, 3] = 1.0
-    np.testing.assert_allclose(noisy_sequence(GateParams.ideal()).matrix, expected, atol=1e-12)
 
 
 def test_ideal_sequence_on_equal_superposition():
@@ -114,20 +104,8 @@ def test_dot_occupancy_cases():
     assert dot_occupancy(out, "1") == pytest.approx(0.75, abs=1e-12)
 
 
-def test_dot_occupancy_rejects_bad_mode():
-    with pytest.raises(ValidationError, match="0p"):
-        dot_occupancy(one_hot("up", "0", 4), "0p")
-
-
 def test_occupancies_cover_all_modes():
     out = apply(three_dot_sequence(), SpinInput(2.0, 0.3).to_state(6))
     occ = occupancies(out)
     assert set(occ) == {"0", "0p", "1"}
     assert sum(occ.values()) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_readout_probabilities_validation():
-    with pytest.raises(ValidationError, match="p_up"):
-        ReadoutProbabilities(1.2, -0.2)
-    with pytest.raises(ValidationError, match="p_up"):
-        ReadoutProbabilities(0.6, 0.6)
