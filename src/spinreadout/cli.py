@@ -40,6 +40,7 @@ from .error_analysis import (
     DEFAULT_RESOLUTION,
     AxisSpec,
     ErrorGrid,
+    check_axis_pair,
     panel_axes,
     sweep_grid,
 )
@@ -127,8 +128,7 @@ def _cmd_errmap(args: argparse.Namespace) -> ErrorGrid:
         for flag, value in given.items():
             if value is None:
                 raise ValidationError(flag, "required by --panel custom")
-            if flag.startswith("axis") and value not in AXIS_NAMES:
-                raise ValidationError(flag, f"unknown axis {value!r}, expected one of {AXIS_NAMES}")
+        check_axis_pair(args.axis1, args.axis2)
         axis1 = AxisSpec(args.axis1, *range1, args.resolution)
         axis2 = AxisSpec(args.axis2, *range2, args.resolution)
     else:

@@ -137,10 +137,8 @@ class AxisSpec:
     num: int
 
     def __post_init__(self):
-        if self.name not in _AXIS_TARGETS:
-            raise ValidationError(
-                "axis", f"unknown axis name {self.name!r}, expected one of {AXIS_NAMES}"
-            )
+        if self.name not in AXIS_NAMES:
+            raise ValidationError("axis", f"unknown axis name {self.name!r}, expected one of {AXIS_NAMES}")
         check_integer("resolution", self.num, minimum=2)
         # The axis writes scale * v, so every gate angle it sets stays within MAX_ANGLE.
         bound = MAX_ANGLE / max(scale for _, scale in _AXIS_TARGETS[self.name])
@@ -154,6 +152,16 @@ class AxisSpec:
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.num)
+
+
+def check_axis_pair(name1: str, name2: str) -> None:
+    """Reject an unknown name for axis 1 or 2, then two axes that write a common gate."""
+    for field, name in (("axis1", name1), ("axis2", name2)):
+        if name not in AXIS_NAMES:
+            raise ValidationError(field, f"unknown axis {name!r}, expected one of {AXIS_NAMES}")
+    shared = ", ".join(gate for gate, _ in _AXIS_TARGETS[name1] if gate in dict(_AXIS_TARGETS[name2]))
+    if shared:
+        raise ValidationError("axis2", f"axis {name2!r} overlaps axis {name1!r} on {shared}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,9 +198,7 @@ def sweep_grid(axis1: AxisSpec, axis2: AxisSpec, fixed: GateParams) -> ErrorGrid
         raise ValidationError(
             "resolution", f"{axis1.num} x {axis2.num} = {nodes} nodes exceed {MAX_GRID_NODES}"
         )
-    shared = ", ".join(gate for gate in axis1.gates if gate in axis2.gates)
-    if shared:
-        raise ValidationError("axis2", f"axis {axis2.name!r} overlaps axis {axis1.name!r} on {shared}")
+    check_axis_pair(axis1.name, axis2.name)
     gates = asdict(fixed)
     for axis, values in ((axis1, axis1.values()[:, None]), (axis2, axis2.values()[None, :])):
         for gate, scale in _AXIS_TARGETS[axis.name]:
@@ -212,7 +218,7 @@ def panel_axes(
     b: phases psi vs phi, tunneling angles ideal;
     c: locked pair theta1 = theta2 = theta vs psi, with phi locked to 2 psi.
     """
-    if panel not in _PANELS:
+    if panel not in PANELS:
         raise ValidationError("panel", f"unknown panel {panel!r}, expected one of {PANELS}")
     (name1, default1), (name2, default2) = _PANELS[panel]
     r1 = range1 if range1 is not None else default1

@@ -11,6 +11,7 @@ from .error_analysis import error_coefficients
 
 # Deepest interval halving; a piece this small is accepted as it stands.
 _MAX_DEPTH = 60
+_TOL = 1e-10  # absolute tolerance of every integral
 
 
 def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
@@ -33,26 +34,24 @@ def _adapt(f, a, b, fa, fm, fb, whole, tol, depth):
     )
 
 
-def integrate_adaptive(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10) -> float:
-    """Integrate f over [a, b] to absolute tolerance `tol`.
+def integrate_adaptive(f: Callable[[float], float], a: float, b: float) -> float:
+    """Integrate f over [a, b] to absolute tolerance 1e-10.
 
     Interval halving concentrates nodes around non-smooth points, so
     absolute-value integrands with isolated kinks converge as well.
     """
     if not a <= b:
         raise ValidationError("interval", f"need a <= b, got [{a!r}, {b!r}]")
-    if tol <= 0:
-        raise ValidationError("tol", f"tolerance must be positive, got {tol!r}")
     if a == b:
         return 0.0
     m = 0.5 * (a + b)
     fa, fm, fb = f(a), f(m), f(b)
-    return _adapt(f, a, b, fa, fm, fb, _simpson(fa, fm, fb, b - a), tol, _MAX_DEPTH)
+    return _adapt(f, a, b, fa, fm, fb, _simpson(fa, fm, fb, b - a), _TOL, _MAX_DEPTH)
 
 
 def avg_abs_error_quadrature(params: GateParams) -> float:
     """Average of |E| over delta uniform on [0, pi], integrated numerically to
     absolute tolerance 1e-10: an independent check of `avg_abs_error`."""
     c0, c1 = error_coefficients(params)
-    integral = integrate_adaptive(lambda d: abs(c0 + c1 * math.cos(d)), 0.0, math.pi, tol=1e-10)
+    integral = integrate_adaptive(lambda d: abs(c0 + c1 * math.cos(d)), 0.0, math.pi)
     return integral / math.pi

@@ -1,10 +1,22 @@
 """Values and helpers that several test modules use; it holds no tests."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 import spinreadout.montecarlo
-from spinreadout import AxisSpec, StateVector, basis_index
+from spinreadout import AxisSpec, GateParams, StateVector, basis_index
+from spinreadout.core import MAX_ANGLE
+
+# The whole supported domain of the gate angles and of the input spin.
+DELTAS = st.floats(0.0, math.pi)
+GAMMAS = st.floats(0.0, 2 * math.pi, exclude_max=True)
+GATE_ANGLES = st.floats(-MAX_ANGLE, MAX_ANGLE)
+ALL_GATES = st.builds(GateParams, GATE_ANGLES, GATE_ANGLES, GATE_ANGLES, GATE_ANGLES)
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 # `spinreadout errmap --panel a --resolution 3 --range1 0.25,0.75
 # --range2 0.25,0.75`, byte for byte.

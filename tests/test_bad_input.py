@@ -120,6 +120,7 @@ ROWS = [
     (lambda: probabilities_closed_form(IDEAL, 3.5), "delta", "3.5 outside"),
     (lambda: measurement_error(IDEAL, -0.1), "delta", "-0.1 outside"),
     (lambda: AxisSpec("theta3", 0, 1, 5), "axis", "'theta3'"),
+    (lambda: AxisSpec(["theta1"], 0, 1, 2), "axis", "['theta1']"),
     (lambda: AxisSpec("theta1", 0, 1, 1), "resolution", "must be >= 2"),
     *[(lambda n=n: AxisSpec("theta1", 0, 1, n), "resolution", "not an integer") for n in (2.5, 2.0, True)],
     (lambda: AxisSpec("theta1", math.nan, 1, 5), "theta1.start", "nan outside"),
@@ -132,12 +133,12 @@ ROWS = [
     (lambda: sweep_grid(AxisSpec("theta1", 0, 1, 2), AxisSpec("theta2", 0, 1, HALF + 1), IDEAL),
      "resolution", f"2 x {HALF + 1} = {2 * HALF + 2} nodes exceed {MAX_GRID_NODES}"),
     (lambda: panel_axes("d"), "panel", "'d'"),
+    (lambda: panel_axes([]), "panel", "unknown panel []"),
     (lambda: ErrorGrid(AxisSpec("psi", 0, 1, 3), AxisSpec("phi", 0, 1, 3), IDEAL, np.zeros((2, 2))),
      "values", "grid shape (2, 2)"),
     (lambda: ErrorGrid(AxisSpec("psi", 0, 1, 2), AxisSpec("phi", 0, 1, 2), IDEAL, np.full((2, 2), np.nan)),
      "values", "not finite"),
     (lambda: integrate_adaptive(math.sin, 1.0, 0.0), "interval", "need a <= b"),
-    (lambda: integrate_adaptive(math.sin, 0.0, 1.0, tol=0.0), "tol", "must be positive"),
     # montecarlo
     (lambda: sample(shots=0), "shots", "must be >= 1"),
     (lambda: sample(shots=MAX_SHOTS + 1), "shots", f"{MAX_SHOTS + 1} exceeds {MAX_SHOTS}"),

@@ -234,6 +234,9 @@ BAD_ARGV = [
     (CUSTOM + ["--axis1", "bogus", "--axis2", "phi", "--range1", "0,1", "--range2", "0,1"], "axis1", "'bogus'"),
     (CUSTOM + ["--axis1", "theta1", "--axis2", "bogus", "--range1", "0,1", "--range2", "0,1"], "axis2", "'bogus'"),
     (CUSTOM + ["--axis1", "theta", "--axis2", "theta1", "--range1", "0,1", "--range2", "0,1"], "axis2", "overlaps"),
+    # an overlap is named before a range that would be out of bounds
+    (CUSTOM + ["--axis1", "theta", "--axis2", "theta1", "--range1", "0,1", "--range2", "0,2000"], "axis2", "overlaps"),
+    (CUSTOM + ["--axis1", "theta", "--axis2", "theta", "--range1", "0,1", "--range2", "0,2000"], "axis2", "overlaps"),
     # errmap: ranges; a bad end names its axis
     (["errmap", "--range1", "0;1"], "range1"),
     (["errmap", "--range1", "nope,1"], "range1"),

@@ -6,7 +6,6 @@ import pytest
 from spinreadout import (
     GateParams,
     SpinInput,
-    StateVector,
     Unitary,
     apply,
     basis_index,
@@ -88,41 +87,6 @@ def test_compose_applies_first_listed_first():
     seq = compose([rz_spin(0.7, "0", 4), rx_mode(math.pi / 2, ("0", "1"), 4)])
     out = apply(seq, one_hot("up", "0", 4))
     np.testing.assert_allclose(out.amplitudes, [0, 1j * np.exp(0.7j), 0, 0], atol=1e-12)
-
-
-def test_apply_identity_returns_same_state():
-    rng = np.random.default_rng(3)
-    amp = rng.normal(size=4) + 1j * rng.normal(size=4)
-    state = StateVector(amp / np.linalg.norm(amp))
-    out = apply(Unitary(np.eye(4)), state)
-    np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
-
-
-def test_random_gates_preserve_norm():
-    rng = np.random.default_rng(11)
-    for _ in range(1000):
-        theta = rng.uniform(-2 * math.pi, 2 * math.pi)
-        kind = rng.integers(3)
-        if kind == 0:
-            gate = rx_mode(theta, ("0", "1"), 4)
-        elif kind == 1:
-            gate = rz_spin(theta, "1", 4)
-        else:
-            gate = u2_general(theta, rng.uniform(-2 * math.pi, 2 * math.pi))
-        amp = rng.normal(size=4) + 1j * rng.normal(size=4)
-        state = StateVector(amp / np.linalg.norm(amp))
-        out = apply(gate, state)
-        assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) <= 1e-12
-
-
-def test_rx_mode_inverse_and_additivity():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        t1, t2 = rng.uniform(-math.pi, math.pi, 2)
-        back_forth = compose([rx_mode(t1, ("0", "1"), 4), rx_mode(-t1, ("0", "1"), 4)])
-        np.testing.assert_allclose(back_forth.matrix, np.eye(4), atol=1e-12)
-        added = compose([rx_mode(t1, ("0", "1"), 4), rx_mode(t2, ("0", "1"), 4)])
-        np.testing.assert_allclose(added.matrix, rx_mode(t1 + t2, ("0", "1"), 4).matrix, atol=1e-12)
 
 
 def test_statevector_is_immutable():

@@ -1,9 +1,9 @@
 """Property tests of the error-surface identities, the gate constructors,
 readout propagation and its closed form over the whole gate-angle domain, of
-the Monte Carlo counts against a per-shot reference and their
-common-random-numbers monotonicity, of the grid CSV bytes against a per-cell
-reference, and of the command line against hostile argv and in both flag
-spellings.
+the three-dot classification over every input, of the Monte Carlo counts
+against a per-shot reference and their common-random-numbers monotonicity, of
+the grid CSV bytes against a per-cell reference, and of the command line
+against hostile argv and in both flag spellings.
 
 Runs are derandomized, so every run draws the same examples.
 """
@@ -26,9 +26,13 @@ from spinreadout import (
     ErrorGrid,
     GateParams,
     SpinInput,
+    StateVector,
+    Unitary,
     ValidationError,
+    apply,
     avg_abs_error,
     compose,
+    dot_occupancy,
     error_coefficients,
     extremal_error,
     measurement_error,
@@ -40,6 +44,7 @@ from spinreadout import (
     sample_readout,
     rz_spin,
     sweep_grid,
+    three_dot_sequence,
     u2_general,
 )
 from spinreadout.cli import grid_to_csv, main
@@ -48,15 +53,12 @@ from spinreadout.error_analysis import AXIS_NAMES, MAX_GRID_NODES
 from spinreadout.montecarlo import BATCH_SHOTS, MAX_SHOTS, _batch_rng
 from spinreadout.quadrature import avg_abs_error_quadrature
 
+from shared import ALL_GATES, DELTAS, GAMMAS, GATE_ANGLES, PROPERTY
+
 # Sweep-axis ends: psi_phi_locked writes phi = 2 v, so an end must stay within MAX_ANGLE / 2.
 ANGLES = st.floats(-4 * math.pi, 4 * math.pi)
-DELTAS = st.floats(0.0, math.pi)
-GATE_ANGLES = st.floats(-MAX_ANGLE, MAX_ANGLE)
-ALL_GATES = st.builds(GateParams, GATE_ANGLES, GATE_ANGLES, GATE_ANGLES, GATE_ANGLES)
-GAMMAS = st.floats(0.0, 2 * math.pi, exclude_max=True)
 PROBABILITIES = st.floats(0.0, 1.0)
 DETECTORS = st.builds(DetectorModel, PROBABILITIES, PROBABILITIES)
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 # The gate angles each sweep axis sets from its value v, written out here
 # independently of the library's axis table.
@@ -112,6 +114,28 @@ def test_ebar_lies_in_unit_interval(params):
     assert 0.0 <= avg_abs_error(params) <= 1.0
 
 
+# psi and phi with room for a shift of 4 pi either way.
+SHIFTABLE = st.floats(-MAX_ANGLE + 4 * math.pi, MAX_ANGLE - 4 * math.pi)
+
+
+@PROPERTY
+@given(GATE_ANGLES, GATE_ANGLES, SHIFTABLE, SHIFTABLE)
+def test_ebar_is_periodic_in_psi_and_phi(theta1, theta2, psi, phi):
+    value = avg_abs_error(GateParams(theta1, theta2, psi, phi))
+    assert abs(avg_abs_error(GateParams(theta1, theta2, psi + 2 * math.pi, phi)) - value) <= 1e-12
+    assert abs(avg_abs_error(GateParams(theta1, theta2, psi, phi + 4 * math.pi)) - value) <= 1e-12
+
+
+@PROPERTY
+@given(GATE_ANGLES, GATE_ANGLES, DELTAS)
+def test_no_tunneling_never_reaches_dot1(psi, phi, delta):
+    # c0 = c1 = -1/2 exactly, so E = -cos^2(delta/2) and Ebar = 1/2.
+    params = GateParams(0.0, 0.0, psi, phi)
+    assert probabilities_closed_form(params, delta).p_up == 0.0
+    assert avg_abs_error(params) == 0.5
+    assert abs(avg_abs_error_quadrature(params) - 0.5) <= 1e-9
+
+
 # Gate sets within 0.1 rad of the ideal one, where c1 reaches its maximum, 0;
 # draws over the whole domain seldom come that near.
 NEAR_IDEAL = st.builds(GateParams, *[st.floats(a - 0.1, a + 0.1) for a in vars(GateParams.ideal()).values()])
@@ -127,32 +151,63 @@ def test_error_slope_is_never_positive(params, near_ideal):
 @PROPERTY
 @given(ALL_GATES, DELTAS)
 def test_error_extremes_sit_at_zero_and_pi(params, delta):
+    e0, e_pi, e = (measurement_error(params, d) for d in (0.0, math.pi, delta))
     extremes = extremal_error(params)
-    assert extremes == (measurement_error(params, 0.0), measurement_error(params, math.pi))
-    assert extremes.e_min <= measurement_error(params, delta) <= extremes.e_max
+    assert extremes == (e0, e_pi)
+    assert extremes.e_min <= e <= extremes.e_max
+    # E is affine in cos(delta), and p_up and p_down both define it.
+    assert abs(e - ((e0 + e_pi) / 2 + (e0 - e_pi) / 2 * math.cos(delta))) <= 1e-12
+    probs = probabilities_closed_form(params, delta)
+    from_up, from_down = probs.p_up - math.cos(delta / 2) ** 2, math.sin(delta / 2) ** 2 - probs.p_down
+    assert abs(e - from_up) <= 1e-12 and abs(from_up - from_down) <= 1e-12
 
 
-def unitarity_defect(gate):
-    m = gate.matrix
-    return np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
+# Six amplitudes; a gate of 4 modes takes the first four, renormalized.
+AMPLITUDES = st.lists(st.complex_numbers(max_magnitude=1.0), min_size=6, max_size=6).filter(
+    lambda amps: np.linalg.norm(amps[:4]) >= 0.1
+)
+
+
+# Each gate constructor, as a function of the two drawn angles.
+GATES = {
+    "rx_mode_4": lambda a, b: rx_mode(a, ("0", "1"), 4),
+    "rx_mode_6": lambda a, b: rx_mode(a, ("0", "0p"), 6),
+    "u2_general": u2_general,
+    "rz_spin_0_4": lambda a, b: rz_spin(a, "0", 4),
+    "rz_spin_1_4": lambda a, b: rz_spin(a, "1", 4),
+    "rz_spin_1_6": lambda a, b: rz_spin(a, "1", 6),
+}
+
+
+@PROPERTY
+@pytest.mark.parametrize("name", GATES)
+@given(GATE_ANGLES, GATE_ANGLES, AMPLITUDES)
+def test_gate_constructors_are_unitary(name, a, b, amplitudes):
+    gate = GATES[name](a, b)
+    v = np.array(amplitudes[: gate.dim])
+    state = StateVector(v / np.linalg.norm(v))
+    assert np.max(np.abs(gate.matrix.conj().T @ gate.matrix - np.eye(gate.dim))) <= ATOL
+    assert abs(np.sum(np.abs(apply(gate, state).amplitudes) ** 2) - 1.0) <= ATOL
+    assert np.array_equal(apply(Unitary(np.eye(gate.dim)), state).amplitudes, state.amplitudes)
 
 
 @PROPERTY
 @given(GATE_ANGLES, GATE_ANGLES)
-def test_gate_constructors_are_unitary(a, b):
-    gates = [
-        rx_mode(a, ("0", "1"), 4),
-        rx_mode(a, ("0", "0p"), 6),
-        u2_general(a, b),
-        rz_spin(a, "0", 4),
-        rz_spin(a, "1", 6),
-    ]
-    for gate in gates:
-        assert unitarity_defect(gate) <= ATOL
+def test_rx_mode_inverse_and_additivity(a, b):
+    back_forth = compose([rx_mode(a, ("0", "1"), 4), rx_mode(-a, ("0", "1"), 4)])
+    assert np.max(np.abs(back_forth.matrix - np.eye(4))) <= 1e-12
+    added = compose([rx_mode(a, ("0", "1"), 4), rx_mode(b, ("0", "1"), 4)])
+    assert np.max(np.abs(added.matrix - rx_mode(a + b, ("0", "1"), 4).matrix)) <= 1e-12
 
 
 @PROPERTY
 @given(ALL_GATES)
+@example(GateParams.ideal())  # quarter oscillation, sign flip on dot 0, quarter oscillation
+# With rx_mode(0) == I and u2_general(0, 0) == I, rotation additivity carries
+# these to u2_general(psi, phi), I and rx_mode(2 theta).
+@example(GateParams(0.0, 0.0, 0.9, 2.3))
+@example(GateParams(math.pi / 4, -math.pi / 4, 0.0, 0.0))
+@example(GateParams(0.7, 0.7, 0.0, 0.0))
 def test_noisy_sequence_equals_composed_gates(params):
     composed = compose(
         [
@@ -180,6 +235,17 @@ def test_run_readout_keeps_the_norm(params, delta, gamma):
     state, probs = run_readout(SpinInput(delta, gamma), params)
     assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) <= ATOL
     assert abs(probs.p_up + probs.p_down - 1.0) <= ATOL
+
+
+@PROPERTY
+@given(DELTAS, GAMMAS)
+def test_three_dot_matches_two_dot_classification(delta, gamma):
+    spin = SpinInput(delta, gamma)
+    _, probs = run_readout(spin, GateParams.ideal())
+    out3 = apply(three_dot_sequence(), spin.to_state(6))
+    assert abs(dot_occupancy(out3, "1") - probs.p_up) <= 1e-12
+    assert abs(dot_occupancy(out3, "0p") - probs.p_down) <= 1e-12
+    assert dot_occupancy(out3, "0") <= 1e-12
 
 
 @PROPERTY
@@ -224,6 +290,7 @@ def test_sample_readout_count_equals_per_shot_reference(params, delta, gamma, de
     spin = SpinInput(delta, gamma)
     p_occupied = min(max(run_readout(spin, params)[1].p_up, 0.0), 1.0)
     record = sample_readout(spin, params, shots, seed, detector)
+    assert record.shots == shots
     assert record.detected_dot1 == reference_detected(p_occupied, shots, seed, detector)
 
 
@@ -314,9 +381,9 @@ def test_grid_csv_equals_per_cell_format(pair, fixed, range1, range2, nums):
     )
 
 
-def test_panel_csv_equals_per_cell_format():
-    for panel in ("a", "b", "c"):
-        assert_csv_matches_reference(sweep_grid(*panel_axes(panel, 101)))
+@pytest.mark.parametrize("panel", ["a", "b", "c"])
+def test_panel_csv_equals_per_cell_format(panel):
+    assert_csv_matches_reference(sweep_grid(*panel_axes(panel, 101)))
 
 
 def csv_ebar_cells(values):

@@ -15,7 +15,6 @@ from spinreadout import (
     rx_mode,
     rz_spin,
     three_dot_sequence,
-    u2_general,
 )
 
 from shared import one_hot
@@ -27,32 +26,6 @@ def test_ideal_sequence_on_equal_superposition():
     state = SpinInput(math.pi / 2, 0.0).to_state(4)
     out = apply(noisy_sequence(GateParams.ideal()), state)
     np.testing.assert_allclose(out.amplitudes, [0, 1j * SQ2, -SQ2, 0], atol=1e-12)
-
-
-def test_noisy_sequence_reduces_to_ideal():
-    # Quarter oscillation, sign flip on dot 0, quarter oscillation.
-    quarter = rx_mode(math.pi / 4, ("0", "1"), 4)
-    ideal = compose([quarter, u2_general(math.pi / 2, math.pi), quarter])
-    np.testing.assert_allclose(noisy_sequence(GateParams.ideal()).matrix, ideal.matrix, atol=1e-12)
-
-
-def test_noisy_sequence_with_zero_rotations_is_u2():
-    params = GateParams(0.0, 0.0, 0.9, 2.3)
-    np.testing.assert_allclose(
-        noisy_sequence(params).matrix, u2_general(0.9, 2.3).matrix, atol=1e-15
-    )
-
-
-def test_noisy_sequence_cancelling_rotations():
-    params = GateParams(math.pi / 4, -math.pi / 4, 0.0, 0.0)
-    np.testing.assert_allclose(noisy_sequence(params).matrix, np.eye(4), atol=1e-12)
-
-
-def test_palindrome_reduction():
-    rng = np.random.default_rng(2)
-    for theta in rng.uniform(-math.pi, math.pi, 25):
-        got = noisy_sequence(GateParams(theta, theta, 0.0, 0.0)).matrix
-        np.testing.assert_allclose(got, rx_mode(2 * theta, ("0", "1"), 4).matrix, atol=1e-12)
 
 
 def test_run_readout_deterministic_cases():
@@ -82,18 +55,6 @@ def test_three_dot_coupler_action():
     # dot 1 is not part of the coupler
     spectator = apply(coupler, one_hot("down", "1", 6))
     np.testing.assert_allclose(spectator.amplitudes, one_hot("down", "1", 6).amplitudes, atol=1e-15)
-
-
-def test_three_dot_matches_two_dot_classification():
-    rng = np.random.default_rng(21)
-    seq = three_dot_sequence()
-    for _ in range(200):
-        spin = SpinInput(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        _, probs = run_readout(spin, GateParams.ideal())
-        out3 = apply(seq, spin.to_state(6))
-        assert abs(dot_occupancy(out3, "1") - probs.p_up) <= 1e-12
-        assert abs(dot_occupancy(out3, "0p") - probs.p_down) <= 1e-12
-        assert dot_occupancy(out3, "0") <= 1e-12
 
 
 def test_dot_occupancy_cases():

@@ -8,15 +8,16 @@ simplifies to 0 for every gate angle, delta and gamma, so the proof covers the
 code itself.
 """
 
-import math
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given
 
 import spinreadout.error_analysis
-from spinreadout import GateParams, probabilities_closed_form
+from spinreadout import probabilities_closed_form
+
+from shared import ALL_GATES, DELTAS, PROPERTY
 
 theta1, theta2, psi, phi, delta, gamma = sp.symbols("theta1 theta2 psi phi delta gamma", real=True)
 
@@ -39,12 +40,13 @@ def matrix_p_up():
     return sum(amp * sp.conjugate(amp) for amp in (out[1], out[3]))
 
 
-@pytest.fixture
-def kernel_p_up(monkeypatch):
+@pytest.fixture(scope="module")
+def kernel_p_up():
     """The closed-form p_up with (c0, c1) from the kernel's source, run with
     sympy's sin and cos; the kernel's float 0.5 and 1.0 become exact rationals."""
-    monkeypatch.setattr(spinreadout.error_analysis, "np", SimpleNamespace(sin=sp.sin, cos=sp.cos))
-    c0, c1 = spinreadout.error_analysis._coefficients(theta1, theta2, psi, phi)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spinreadout.error_analysis, "np", SimpleNamespace(sin=sp.sin, cos=sp.cos))
+        c0, c1 = spinreadout.error_analysis._coefficients(theta1, theta2, psi, phi)
     c0, c1 = (sp.nsimplify(c, rational=True) for c in (c0, c1))
     return (c0 + sp.Rational(1, 2)) + (c1 + sp.Rational(1, 2)) * sp.cos(delta)
 
@@ -57,10 +59,13 @@ def test_closed_form_equals_matrix_path_identically(kernel_p_up):
     assert sp.expand(diff.rewrite(sp.exp)) == 0
 
 
-def test_closed_form_matches_the_proved_expression(kernel_p_up):
-    p_up = sp.lambdify((theta1, theta2, psi, phi, delta), kernel_p_up, "math")
-    rng = np.random.default_rng(77)
-    for _ in range(200):
-        angles = rng.uniform(-2 * math.pi, 2 * math.pi, 4).tolist()
-        d = float(rng.uniform(0, math.pi))
-        assert abs(probabilities_closed_form(GateParams(*angles), d).p_up - p_up(*angles, d)) <= 1e-14
+@pytest.fixture(scope="module")
+def proved_p_up(kernel_p_up):
+    return sp.lambdify((theta1, theta2, psi, phi, delta), kernel_p_up, "math")
+
+
+@PROPERTY
+@given(ALL_GATES, DELTAS)
+def test_closed_form_matches_the_proved_expression(proved_p_up, params, d):
+    expected = proved_p_up(params.theta1, params.theta2, params.psi, params.phi, d)
+    assert abs(probabilities_closed_form(params, d).p_up - expected) <= 1e-14
