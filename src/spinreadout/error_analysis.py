@@ -15,9 +15,10 @@ affine in cos(delta):
                                             sin(psi) sin(phi/2) - 1) / 2 <= 0,
 
 so E is smallest at delta = 0 and largest at delta = pi.  The code writes the
-formula once, as the array kernel for (c0, c1); p_up = cos^2(delta/2) + E is a
-view of it.  The averaged figure of merit Ebar = (1/pi) * int_0^pi |E| d(delta)
-has an exact piecewise form (|E| kinks where c0 + c1 cos(delta) = 0).
+formula once, as one kernel for (c0, c1) that runs on math floats, numpy
+arrays or sympy symbols; p_up = cos^2(delta/2) + E is a view of it.  The
+averaged figure of merit Ebar = (1/pi) * int_0^pi |E| d(delta) has an exact
+piecewise form (|E| kinks where c0 + c1 cos(delta) = 0).
 Probabilities are asserted to land in [0, 1], never clamped.
 """
 
@@ -63,11 +64,11 @@ _PANELS = {
 PANELS = tuple(_PANELS)
 
 
-def _coefficients(theta1, theta2, psi, phi):
-    """(c0, c1) of E(delta) = c0 + c1 cos(delta), over broadcastable gate angles."""
-    s = np.sin(2 * theta1) * np.sin(2 * theta2)
-    c0 = np.sin(theta1 - theta2) ** 2 + 0.5 * s * (1.0 + np.cos(psi) * np.cos(phi / 2)) - 0.5
-    c1 = 0.5 * (s * np.sin(psi) * np.sin(phi / 2) - 1.0)
+def _coefficients(xp, theta1, theta2, psi, phi):
+    """(c0, c1) of E(delta) = c0 + c1 cos(delta), with sin and cos from xp: math, numpy or sympy."""
+    s = xp.sin(2 * theta1) * xp.sin(2 * theta2)
+    c0 = xp.sin(theta1 - theta2) ** 2 + 0.5 * s * (1.0 + xp.cos(psi) * xp.cos(phi / 2)) - 0.5
+    c1 = 0.5 * (s * xp.sin(psi) * xp.sin(phi / 2) - 1.0)
     return c0, c1
 
 
@@ -87,8 +88,7 @@ def _ebar(c0, c1):
 
 def error_coefficients(params: GateParams) -> tuple[float, float]:
     """Coefficients (c0, c1) of the affine error E(delta) = c0 + c1 cos(delta)."""
-    c0, c1 = _coefficients(params.theta1, params.theta2, params.psi, params.phi)
-    return float(c0), float(c1)
+    return _coefficients(math, params.theta1, params.theta2, params.psi, params.phi)
 
 
 def probabilities_closed_form(params: GateParams, delta: float) -> ReadoutProbabilities:
@@ -203,7 +203,7 @@ def sweep_grid(axis1: AxisSpec, axis2: AxisSpec, fixed: GateParams) -> ErrorGrid
     for axis, values in ((axis1, axis1.values()[:, None]), (axis2, axis2.values()[None, :])):
         for gate, scale in _AXIS_TARGETS[axis.name]:
             gates[gate] = scale * values
-    return ErrorGrid(axis1, axis2, fixed, _ebar(*_coefficients(**gates)))
+    return ErrorGrid(axis1, axis2, fixed, _ebar(*_coefficients(np, **gates)))
 
 
 def panel_axes(

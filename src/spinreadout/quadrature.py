@@ -1,5 +1,5 @@
 """Adaptive Simpson integration for piecewise-smooth scalar integrands, and the
-quadrature route to Ebar that checks the analytic one independently."""
+quadrature route to Ebar that independently checks avg_abs_error's exact integration."""
 
 from __future__ import annotations
 

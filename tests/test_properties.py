@@ -160,6 +160,9 @@ def test_error_extremes_sit_at_zero_and_pi(params, delta):
     probs = probabilities_closed_form(params, delta)
     from_up, from_down = probs.p_up - math.cos(delta / 2) ** 2, math.sin(delta / 2) ** 2 - probs.p_down
     assert abs(e - from_up) <= 1e-12 and abs(from_up - from_down) <= 1e-12
+    # Every scalar view returns a built-in float, not a numpy scalar or 0-d array.
+    scalars = (*error_coefficients(params), *extremes, e, avg_abs_error(params), probs.p_up, probs.p_down)
+    assert all(type(v) is float for v in scalars)
 
 
 # Six amplitudes; a gate of 4 modes takes the first four, renormalized.

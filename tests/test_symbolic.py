@@ -3,19 +3,18 @@
 The readout sequence U1(theta2) U2(psi, phi) U1(theta1) is built from the
 paper's gates in sympy and applied to the spin input in dot 0.  The closed
 form (c0 + 1/2) + (c1 + 1/2) cos(delta) takes (c0, c1) from the library's own
-kernel, error_analysis._coefficients, run on sympy symbols.  Their difference
-simplifies to 0 for every gate angle, delta and gamma, so the proof covers the
-code itself.
+kernel, error_analysis._coefficients, called with sympy as its sin/cos
+namespace on sympy symbols: the source text the library runs with math and
+numpy.  Their difference simplifies to 0 for every gate angle, delta and
+gamma, so the proof covers the code itself.
 """
-
-from types import SimpleNamespace
 
 import pytest
 import sympy as sp
 from hypothesis import given
 
-import spinreadout.error_analysis
 from spinreadout import probabilities_closed_form
+from spinreadout.error_analysis import _coefficients
 
 from shared import ALL_GATES, DELTAS, PROPERTY
 
@@ -42,11 +41,9 @@ def matrix_p_up():
 
 @pytest.fixture(scope="module")
 def kernel_p_up():
-    """The closed-form p_up with (c0, c1) from the kernel's source, run with
-    sympy's sin and cos; the kernel's float 0.5 and 1.0 become exact rationals."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spinreadout.error_analysis, "np", SimpleNamespace(sin=sp.sin, cos=sp.cos))
-        c0, c1 = spinreadout.error_analysis._coefficients(theta1, theta2, psi, phi)
+    """The closed-form p_up with (c0, c1) from the kernel run on sympy; the
+    kernel's float 0.5 and 1.0 become exact rationals."""
+    c0, c1 = _coefficients(sp, theta1, theta2, psi, phi)
     c0, c1 = (sp.nsimplify(c, rational=True) for c in (c0, c1))
     return (c0 + sp.Rational(1, 2)) + (c1 + sp.Rational(1, 2)) * sp.cos(delta)
 
