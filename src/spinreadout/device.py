@@ -47,7 +47,7 @@ class PulseSpec:
 def pulse_angle(spec: PulseSpec) -> float:
     """Tunneling rotation angle -sum(tau_i * dt_i)/hbar in radians."""
     area = sum(amplitude * duration for amplitude, duration in spec.segments)
-    angle = -area / HBAR_UEV_PS
+    angle = 0.0 - area / HBAR_UEV_PS
     check_finite("angle", angle)
     return angle
 
@@ -59,7 +59,7 @@ def pulse_for_angle(target: float, duration_ps: float) -> float:
     """
     check_finite("target", target)
     check_positive("duration", duration_ps)
-    amplitude = -target * HBAR_UEV_PS / duration_ps
+    amplitude = 0.0 - target * HBAR_UEV_PS / duration_ps
     check_finite("amplitude", amplitude)
     return amplitude
 

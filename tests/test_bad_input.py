@@ -130,6 +130,8 @@ ROWS = [
     (lambda: sweep_grid(AxisSpec("theta", 0, 1, 2), AxisSpec("psi_phi_locked", 0, 1e308, 2), IDEAL),
      "psi_phi_locked.stop", "1e+308 outside"),
     (lambda: sweep_grid(AxisSpec("theta", 0, 1, 3), AxisSpec("theta1", 0, 1, 3), IDEAL), "axis2", "overlaps"),
+    # The shared gates are listed in axis order, whatever the hash seed.
+    (lambda: sweep_grid(AxisSpec("theta", 0, 1, 2), AxisSpec("theta", 0, 1, 2), IDEAL), "axis2", "on theta1, theta2"),
     (lambda: sweep_grid(AxisSpec("theta1", 0, 1, 2), AxisSpec("theta2", 0, 1, HALF + 1), IDEAL),
      "resolution", f"2 x {HALF + 1} = {2 * HALF + 2} nodes exceed {MAX_GRID_NODES}"),
     (lambda: panel_axes("d"), "panel", "'d'"),
@@ -149,6 +151,11 @@ ROWS = [
     (lambda: DetectorModel(1.0, -0.1), "false_positive", "-0.1 outside [0, 1]"),
     (lambda: ShotRecord(10, 11, 0, 1.0, 1.0), "detected_dot1", "count 11 outside [0, 10]"),
     (lambda: effective_outcome_probability(1.5, DetectorModel()), "p_occupied", "1.5 outside [0, 1]"),
+    (lambda: DetectorModel(math.nan, 0.0), "efficiency", "nan outside [0, 1]"),
+    (lambda: DetectorModel(1.0, math.nan), "false_positive", "nan outside [0, 1]"),
+    (lambda: ShotRecord(10, 5, 0, math.nan, 0.5), "estimated_p_up", "nan outside [0, 1]"),
+    (lambda: ShotRecord(10, 5, 0, 0.5, math.nan), "analytic_p_up", "nan outside [0, 1]"),
+    (lambda: effective_outcome_probability(math.nan, DetectorModel()), "p_occupied", "nan outside [0, 1]"),
     # device
     (lambda: PulseSpec(()), "segments", "at least one segment"),
     (lambda: PulseSpec(((1.0, 0.0),)), "segments[0].duration", "must be > 0"),
@@ -171,3 +178,16 @@ def test_bad_input_raises_validation_error_naming_its_field(monkeypatch, call, f
     with pytest.raises(ValidationError) as err:
         call()
     assert err.value.field == field and fragment in str(err.value)
+
+
+def test_sweep_grid_node_limit_is_checked_before_any_array(monkeypatch):
+    class AxisSampled(Exception):
+        pass
+
+    def sampled(self):
+        raise AxisSampled
+
+    monkeypatch.setattr(AxisSpec, "values", sampled)
+    # Exactly at the limit the sweep starts; one node past it is a row above.
+    with pytest.raises(AxisSampled):
+        sweep_grid(AxisSpec("theta1", 0, 1, 2), AxisSpec("theta2", 0, 1, HALF), IDEAL)

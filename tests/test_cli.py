@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -382,7 +383,7 @@ def test_device_pulse_angle_accepts_dash_led_segments(capsys):
 def test_device_pulse_for_angle_zero_target(capsys):
     code, out, _ = run(capsys, ["device", "pulse-for-angle", "--angle", "0", "--duration", "1"])
     assert code == 0
-    assert float(out.split()[0]) == 0.0
+    assert out == "0.0 ueV\n"
 
 
 def readme_commands():
@@ -412,6 +413,16 @@ def test_digest_table_covers_the_readme_commands():
     commands = readme_commands()
     assert len(commands) == 11
     assert {shlex.join(argv) for argv in commands} <= {row["argv"] for row in DIGESTS}
+
+
+def test_readme_names_only_tests_and_test_files_that_exist():
+    text = README.read_text()
+    sources = "\n".join(path.read_text() for path in (README.parent / "tests").glob("*.py"))
+    names = set(re.findall(r"`(?:\w+\.py::)?(test_\w+)`", text))
+    paths = set(re.findall(r"tests/\w+\.py", text))
+    assert names and paths
+    assert not names - set(re.findall(r"^def (test_\w+)", sources, re.M))
+    assert not {path for path in paths if not (README.parent / path).is_file()}
 
 
 @pytest.mark.parametrize("row", DIGESTS, ids=lambda row: row["argv"])
