@@ -1,5 +1,8 @@
 """Values and helpers that several test modules use; it holds no tests."""
 
+import contextlib
+import io
+import linecache
 import math
 
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 import spinreadout.montecarlo
 from spinreadout import AxisSpec, GateParams, StateVector, basis_index
+from spinreadout.cli import main
 from spinreadout.core import MAX_ANGLE
 
 # The whole supported domain of the gate angles and of the input spin.
@@ -18,8 +22,8 @@ GATE_ANGLES = st.floats(-MAX_ANGLE, MAX_ANGLE)
 ALL_GATES = st.builds(GateParams, GATE_ANGLES, GATE_ANGLES, GATE_ANGLES, GATE_ANGLES)
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
-# `spinreadout errmap --panel a --resolution 3 --range1 0.25,0.75
-# --range2 0.25,0.75`, byte for byte.
+# What `spinreadout GOLDEN_ARGS` prints, byte for byte.
+GOLDEN_ARGS = ["errmap", "--panel", "a", "--resolution", "3", "--range1", "0.25,0.75", "--range2", "0.25,0.75"]
 GOLDEN_CSV = (
     "axis1,axis2,Ebar\n"
     "0.25,0.25,0.385075576467\n"
@@ -44,3 +48,18 @@ def forbid_work(monkeypatch):
     rejection is shown to come before any work."""
     monkeypatch.setattr(AxisSpec, "values", lambda self: pytest.fail("an axis was sampled"))
     monkeypatch.setattr(spinreadout.montecarlo, "_batch_rng", lambda *args: pytest.fail("a shot was drawn"))
+
+
+def run_main(argv):
+    """Run one command in-process: its exit status, stdout and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def row_ids(rows):
+    """Each table row's test id: the source line of its call, so that a failure
+    names the call and a new row renames no other."""
+    return [linecache.getline(call.__code__.co_filename, call.__code__.co_firstlineno).strip()
+            for call, *_ in rows]

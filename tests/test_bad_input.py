@@ -48,7 +48,7 @@ from spinreadout.error_analysis import MAX_GRID_NODES
 from spinreadout.montecarlo import MAX_SHOTS
 from spinreadout.quadrature import integrate_adaptive
 
-from shared import forbid_work, one_hot
+from shared import forbid_work, one_hot, row_ids
 
 EYE4, EYE6 = np.eye(4), np.eye(6)
 IDEAL = GateParams.ideal()
@@ -172,7 +172,7 @@ ROWS = [
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("call, field, fragment", ROWS)
+@pytest.mark.parametrize("call, field, fragment", ROWS, ids=row_ids(ROWS))
 def test_bad_input_raises_validation_error_naming_its_field(monkeypatch, call, field, fragment):
     forbid_work(monkeypatch)
     with pytest.raises(ValidationError) as err:

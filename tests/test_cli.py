@@ -1,8 +1,10 @@
-"""End-to-end checks of the command-line surface and its file formats."""
+"""The command line's exit status, bytes and bad argv: the digest table of
+every pinned command's output bytes, the table of bad argv, the exit-1 cases
+and the README's commands.  What a successful command prints is a row of
+`test_values.py`."""
 
 import hashlib
 import json
-import math
 import os
 import re
 import shlex
@@ -14,178 +16,19 @@ from pathlib import Path
 import pytest
 
 import spinreadout.cli
-from spinreadout.cli import grid_to_csv, main
+from spinreadout.cli import grid_to_csv
 from spinreadout.error_analysis import panel_axes, sweep_grid
 from spinreadout.montecarlo import MAX_SHOTS
 
-from shared import GOLDEN_CSV, forbid_work
+from shared import GOLDEN_ARGS, forbid_work, run_main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # argv -> sha256 of stdout and of the --output file (null when there is none).
 # A change that means to alter a command's bytes edits its row.
 DIGESTS = json.loads((Path(__file__).resolve().parent / "command_digests.json").read_text())
 
-GOLDEN_ARGS = [
-    "errmap",
-    "--panel",
-    "a",
-    "--resolution",
-    "3",
-    "--range1",
-    "0.25,0.75",
-    "--range2",
-    "0.25,0.75",
-]
 CUSTOM = ["errmap", "--panel", "custom"]
 LOCKED_PAIR = CUSTOM + ["--axis1", "theta", "--axis2", "psi_phi_locked", "--range1", "0,1", "--resolution", "2"]
-
-
-def run(capsys, argv):
-    code = main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def parse_csv(text):
-    lines = text.strip().split("\n")
-    assert lines[0] == "axis1,axis2,Ebar"
-    return [tuple(float(x) for x in line.split(",")) for line in lines[1:]]
-
-
-def test_protocol_spin_up_is_certain(capsys):
-    code, out, _ = run(capsys, ["protocol", "--variant", "two-dot", "--delta", "0", "--gamma", "0", "--ideal"])
-    assert code == 0
-    report = json.loads(out)
-    assert report["p_up"] == pytest.approx(1.0, abs=1e-12)
-    assert report["occupancy"]["1"] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_protocol_superposition_report_fields(capsys):
-    code, out, _ = run(capsys, ["protocol", "--delta", str(math.pi / 2)])
-    assert code == 0
-    report = json.loads(out)
-    assert report["variant"] == "two-dot"
-    assert set(report["amplitudes"]) == {"f1", "f2", "g1", "g2"}
-    assert report["p_up"] == pytest.approx(0.5, abs=1e-12)
-    assert report["amplitudes"]["g1"]["im"] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-
-
-def test_protocol_three_dot_spin_down_lands_in_dot0p(capsys):
-    code, out, _ = run(capsys, ["protocol", "--variant", "three-dot", "--delta", "3.14159265", "--ideal"])
-    assert code == 0
-    report = json.loads(out)
-    assert report["occupancy"]["0p"] == pytest.approx(1.0, abs=1e-12)
-    assert report["p_down"] == pytest.approx(1.0, abs=1e-12)
-    assert report["unconverted"] <= 1e-12
-
-
-def test_protocol_unset_angles_default_to_ideal(capsys):
-    code, out, _ = run(capsys, ["protocol", "--delta", "1.0", "--psi", "0.3"])
-    assert code == 0
-    ideal = {"theta1": math.pi / 4, "theta2": math.pi / 4, "psi": math.pi / 2, "phi": math.pi}
-    assert json.loads(out)["params"] == {**ideal, "psi": 0.3}
-
-
-def test_errmap_degenerate_ideal_point(capsys):
-    code, out, _ = run(
-        capsys,
-        [
-            "errmap",
-            "--panel",
-            "a",
-            "--resolution",
-            "3",
-            "--range1",
-            "0.785398,0.785398",
-            "--range2",
-            "0.785398,0.785398",
-        ],
-    )
-    assert code == 0
-    rows = parse_csv(out)
-    assert len(rows) == 9
-    assert all(abs(row[2]) <= 1e-12 for row in rows)
-
-
-def test_errmap_golden_sample_bytes(capsys, tmp_path):
-    path = tmp_path / "grid.csv"
-    code, _, _ = run(capsys, GOLDEN_ARGS + ["--output", str(path)])
-    assert code == 0
-    assert path.read_bytes() == GOLDEN_CSV.encode()
-    # stdout emission matches the file byte for byte
-    code, out, _ = run(capsys, GOLDEN_ARGS)
-    assert code == 0
-    assert out == GOLDEN_CSV
-
-
-def test_errmap_json_round_trip(capsys):
-    code, out, _ = run(capsys, GOLDEN_ARGS + ["--format", "json"])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["axis1"]["name"] == "theta1"
-    assert payload["axis2"]["num"] == 3
-    csv_rows = parse_csv(GOLDEN_CSV)
-    flat = [v for block in payload["values"] for v in block]
-    for (_, _, expected), got in zip(csv_rows, flat):
-        assert got == pytest.approx(expected, abs=1e-12)
-
-
-def test_errmap_custom_matches_panel_c(capsys):
-    code, out, _ = run(
-        capsys,
-        [
-            "errmap",
-            "--panel",
-            "custom",
-            "--axis1",
-            "theta",
-            "--axis2",
-            "psi_phi_locked",
-            "--range1",
-            "0,1.5707963267948966",
-            "--range2",
-            "0,6.283185307179586",
-            "--resolution",
-            "3",
-        ],
-    )
-    assert code == 0
-    custom_rows = parse_csv(out)
-    code, out, _ = run(capsys, ["errmap", "--panel", "c", "--resolution", "3"])
-    assert parse_csv(out) == custom_rows
-
-
-def test_errmap_bounds_scaled_sweep_angle(capsys):
-    # psi_phi_locked writes phi = 2v, so its range is bounded by MAX_ANGLE / 2:
-    # accepted up to 500 here, rejected past it in BAD_ARGV.
-    code, out, err = run(capsys, LOCKED_PAIR + ["--range2", "499,500"])
-    assert code == 0 and err == ""
-    assert len(parse_csv(out)) == 4
-
-
-def test_errmap_accepts_dash_led_ranges(capsys):
-    base = ["errmap", "--panel", "custom", "--axis1", "theta1", "--axis2", "phi", "--resolution", "3"]
-    code, spaced, _ = run(capsys, base + ["--range1", "-1,1", "--range2", "-0.5,0.5"])
-    assert code == 0
-    code, joined, _ = run(capsys, base + ["--range1=-1,1", "--range2=-0.5,0.5"])
-    assert code == 0 and spaced == joined
-    assert parse_csv(spaced)[0][:2] == (-1.0, -0.5)
-
-
-TWO_PI = "6.283185307179586"
-
-
-def test_errmap_preset_panel_honours_non_swept_flag(capsys):
-    code, flagged, _ = run(capsys, ["errmap", "--panel", "b", "--resolution", "5", "--theta1", "0.5"])
-    assert code == 0
-    code, custom, _ = run(
-        capsys,
-        ["errmap", "--panel", "custom", "--axis1", "psi", "--axis2", "phi", "--range1", f"0,{TWO_PI}",
-         "--range2", f"0,{TWO_PI}", "--resolution", "5", "--theta1", "0.5"],
-    )
-    assert code == 0 and flagged == custom
-    code, ideal, _ = run(capsys, ["errmap", "--panel", "b", "--resolution", "5"])
-    assert code == 0 and ideal != flagged
 
 
 # The command line's table of bad input: one row per bad argv, with the field
@@ -274,116 +117,34 @@ BAD_ARGV = [
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, field, fragment", [(*row, "") if len(row) == 2 else row for row in BAD_ARGV])
-def test_bad_command_line_exits_2_naming_its_field(capsys, monkeypatch, tmp_path, argv, field, fragment):
+def test_bad_command_line_exits_2_naming_its_field(monkeypatch, tmp_path, argv, field, fragment):
     # Exit 2 before any axis is sampled, shot drawn or byte written; a
     # validation error is one line that names its field once.
     forbid_work(monkeypatch)
     path = tmp_path / "out"
-    code, out, err = run(capsys, argv + ["--output", str(path)])
+    code, out, err = run_main(argv + ["--output", str(path)])
     assert code == 2 and out == "" and not path.exists()
     if field is not None:
         assert err.startswith(f"error: {field}: ") and err.count(field) == 1 and err.count("\n") == 1
         assert fragment in err
 
 
-def test_errmap_unwritable_path_exits_nonzero(capsys, tmp_path):
+def test_errmap_unwritable_path_exits_1_with_one_line(tmp_path):
     path = tmp_path / "missing-dir" / "grid.csv"
-    code, _, err = run(capsys, GOLDEN_ARGS + ["--output", str(path)])
-    assert code == 1
-    assert not path.exists()
+    code, out, err = run_main(GOLDEN_ARGS + ["--output", str(path)])
+    assert code == 1 and out == "" and not path.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_errmap_resolution_401_runs(capsys):
-    code, out, _ = run(capsys, ["errmap", "--panel", "b", "--resolution", "401"])
-    assert code == 0 and out.count("\n") == 401 * 401 + 1
-
-
-def test_memory_error_exits_1_with_one_line(capsys, tmp_path, monkeypatch):
+def test_memory_error_exits_1_with_one_line(tmp_path, monkeypatch):
     def exhausted(*args):
         raise MemoryError
 
     monkeypatch.setattr(spinreadout.cli, "sweep_grid", exhausted)
     path = tmp_path / "grid.csv"
-    code, out, err = run(capsys, GOLDEN_ARGS + ["--output", str(path)])
+    code, out, err = run_main(GOLDEN_ARGS + ["--output", str(path)])
     assert code == 1 and out == "" and not path.exists()
     assert err == "error: out of memory\n"
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["protocol", "--delta", "1", "--theta1", "-1e-05"],
-        ["montecarlo", "--delta", "1", "--shots", "1000", "--phi", "-2.5e-4"],
-        ["device", "pulse-for-angle", "--angle", "-1e-3", "--duration", "1"],
-        ["device", "rashba-angle", "--alpha", "4e-11", "--length", "-1e-3"],
-    ],
-)
-def test_exponent_negative_value_reads_in_either_spelling(capsys, argv):
-    code, spaced, _ = run(capsys, argv)
-    assert code == 0
-    assert run(capsys, argv[:-2] + [f"{argv[-2]}={argv[-1]}"]) == (0, spaced, "")
-
-
-def test_montecarlo_superposition_statistics(capsys):
-    code, out, _ = run(
-        capsys,
-        ["montecarlo", "--delta", str(math.pi / 2), "--shots", "10000", "--seed", "3"],
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert abs(payload["estimated_p_up"] - 0.5) < 0.02
-
-
-def test_montecarlo_detector_flags(capsys):
-    code, out, _ = run(
-        capsys,
-        ["montecarlo", "--delta", "0", "--shots", "2000", "--seed", "1",
-         "--efficiency", "0.8", "--false-positive", "0.1"],
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["analytic_p_up"] == pytest.approx(0.8, abs=1e-12)
-    assert abs(payload["estimated_p_up"] - 0.8) < 0.04
-
-
-def test_device_rashba_length(capsys):
-    code, out, _ = run(
-        capsys,
-        ["device", "rashba-length", "--alpha", "4e-11", "--mass", "0.026", "--angle", "1.5708"],
-    )
-    assert code == 0
-    value, unit = out.split()
-    assert unit == "nm"
-    assert abs(float(value) - 58.0) / 58.0 < 0.02
-
-
-def test_device_rashba_angle_round_trip(capsys):
-    code, out, _ = run(capsys, ["device", "rashba-length", "--alpha", "0.93e-11", "--angle", "0.7"])
-    assert code == 0
-    length = float(out.split()[0])
-    code, out, _ = run(
-        capsys, ["device", "rashba-angle", "--alpha", "0.93e-11", "--length", str(length)]
-    )
-    assert code == 0
-    assert float(out.split()[0]) == pytest.approx(0.7, rel=1e-12)
-
-
-def test_device_pulse_angle_accepts_dash_led_segments(capsys):
-    for argv in (
-        ["device", "pulse-angle", "--segments", "-0.658212:1"],
-        ["device", "pulse-angle", "--segments=-0.658212:1"],
-    ):
-        code, out, _ = run(capsys, argv)
-        assert code == 0
-        value, unit = out.split()
-        assert unit == "rad"
-        assert float(value) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_device_pulse_for_angle_zero_target(capsys):
-    code, out, _ = run(capsys, ["device", "pulse-for-angle", "--angle", "0", "--duration", "1"])
-    assert code == 0
-    assert out == "0.0 ueV\n"
 
 
 def readme_commands():
@@ -426,10 +187,10 @@ def test_readme_names_only_tests_and_test_files_that_exist():
 
 
 @pytest.mark.parametrize("row", DIGESTS, ids=lambda row: row["argv"])
-def test_command_bytes_match_the_digest_table(capsys, monkeypatch, tmp_path, row):
+def test_command_bytes_match_the_digest_table(monkeypatch, tmp_path, row):
     monkeypatch.chdir(tmp_path)
     argv = shlex.split(row["argv"])
-    code, out, err = run(capsys, argv[1:])
+    code, out, err = run_main(argv[1:])
     assert code == 0, err
     output = None
     if "--output" in argv:

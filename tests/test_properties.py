@@ -8,8 +8,6 @@ against hostile argv and in both flag spellings.
 Runs are derandomized, so every run draws the same examples.
 """
 
-import contextlib
-import io
 import math
 import re
 from fractions import Fraction
@@ -47,13 +45,14 @@ from spinreadout import (
     three_dot_sequence,
     u2_general,
 )
-from spinreadout.cli import grid_to_csv, main
+from spinreadout.cli import grid_to_csv
 from spinreadout.core import ATOL, MAX_ANGLE
 from spinreadout.error_analysis import AXIS_NAMES, MAX_GRID_NODES
 from spinreadout.montecarlo import BATCH_SHOTS, MAX_SHOTS, _batch_rng
 from spinreadout.quadrature import avg_abs_error_quadrature
+from spinreadout.report import _BLOCK_NODES
 
-from shared import ALL_GATES, DELTAS, GAMMAS, GATE_ANGLES, PROPERTY
+from shared import ALL_GATES, DELTAS, GAMMAS, GATE_ANGLES, PROPERTY, run_main
 
 # Sweep-axis ends: psi_phi_locked writes phi = 2 v, so an end must stay within MAX_ANGLE / 2.
 ANGLES = st.floats(-4 * math.pi, 4 * math.pi)
@@ -378,6 +377,7 @@ CSV_BOUNDS = st.one_of(
 )
 @example(("theta1", "phi"), GateParams.ideal(), (0.0, -0.0), (1e-13, 1e-05), (3, 4))
 @example(("theta", "psi_phi_locked"), GateParams.ideal(), (-1e-05, 1 / 3), (1e-13, -0.0), (7, 2))
+@example(("psi", "phi"), GateParams.ideal(), (0.0, 1.0), (0.0, 1.0), (3, _BLOCK_NODES + 5))  # a row split in blocks
 def test_grid_csv_equals_per_cell_format(pair, fixed, range1, range2, nums):
     assert_csv_matches_reference(
         sweep_grid(AxisSpec(pair[0], *range1, nums[0]), AxisSpec(pair[1], *range2, nums[1]), fixed)
@@ -525,18 +525,15 @@ def check_main(argv, out_dir, to_file):
     stdout and leaves no file, and a validation error prints one line that
     names its field once; a success prints finite numbers only."""
     path = out_dir / "out"
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv + ["--output", str(path)] if to_file else argv)
+    code, out, err = run_main(argv + ["--output", str(path)] if to_file else argv)
     assert code in (0, 1, 2)
-    err = stderr.getvalue()
     if code:
-        assert stdout.getvalue() == "" and not path.exists() and err
+        assert out == "" and not path.exists() and err
         if code == 2 and err.startswith("error: "):  # a ValidationError, not argparse's usage text
             field = err[len("error: "):].split(": ", 1)[0]
             assert err.count("\n") == 1 and err.count(field) == 1, err
     else:
-        text = path.read_text() if to_file else stdout.getvalue()
+        text = path.read_text() if to_file else out
         path.unlink(missing_ok=True)
         assert text and not NON_FINITE.search(text), text
 
@@ -630,13 +627,6 @@ def respelt(argv):
     return out
 
 
-def run_main(argv):
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    return code, stdout.getvalue()
-
-
 @ARGV_PROPERTY
 @given(st.one_of(PROTOCOL_ARGV, ERRMAP_ARGV, MONTECARLO_ARGV, DEVICE_ARGV))
 @example(["protocol", "--delta", "1", "--theta1", "-1e-05"])
@@ -644,4 +634,4 @@ def run_main(argv):
 @example(["device", "pulse-for-angle", "--angle", "-1e-3", "--duration", "1"])
 @example(["device", "rashba-angle", "--alpha", "4e-11", "--length", "-1e-3"])
 def test_flag_value_reads_the_same_in_either_spelling(argv):
-    assert run_main(argv) == run_main(respelt(argv))
+    assert run_main(argv)[:2] == run_main(respelt(argv))[:2]  # exit status and stdout

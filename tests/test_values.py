@@ -1,16 +1,23 @@
-"""The library's table of pinned values: one row per known value of a public
-function or value type.  A new pinned value is one more row.
+"""The table of pinned values: one row per known value of a public function or
+value type, or of what a successful command prints.  A new pinned value is
+one more row.
 
 Each row is `(call, expected, tol)`.  With `tol` None, `call()` must equal
 EXPECTED.  With a number, `call()` must have EXPECTED's shape and lie within
 `tol` of it in every element, complex ones by modulus; 0 means equal.  A
-relative tolerance is written as `1e-12 * abs(expected)`.  Identities over the
-whole domain are properties in `test_properties.py`; bad input is a row of
-`test_bad_input.py`.
+relative tolerance is written as `1e-12 * abs(expected)`.  A command runs
+through `cli`, which asserts exit 0 and an empty stderr; its row parses the
+printed text with `json.loads`, CSV splitting or `split()`, and a row that
+compares two commands pins True.  Each row's test id is its call's source
+line.  Identities over the whole domain are properties in
+`test_properties.py`; bad input is a row of `test_bad_input.py` or of
+`test_cli.py`'s table; output bytes are the digest table's.
 """
 
 import cmath
+import json
 import math
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -50,7 +57,7 @@ from spinreadout.device import HBAR_UEV_PS
 from spinreadout.montecarlo import BATCH_SHOTS, MAX_SHOTS
 from spinreadout.quadrature import integrate_adaptive
 
-from shared import one_hot
+from shared import GOLDEN_ARGS, GOLDEN_CSV, one_hot, row_ids, run_main
 
 SQ2 = 1 / math.sqrt(2)
 QUARTER = math.pi / 4
@@ -76,6 +83,20 @@ def detected(*args):
 
 def angle(*segments):
     return pulse_angle(PulseSpec(segments))
+
+
+def cli(*argv):
+    """What a command prints on stdout; it must exit 0 and print nothing on stderr."""
+    code, stdout, stderr = run_main(list(argv))
+    assert (code, stderr) == (0, ""), stderr
+    return stdout
+
+
+PI_2, TWO_PI = str(math.pi / 2), str(2 * math.pi)
+SPIN_UP_IDEAL = ("protocol", "--variant", "two-dot", "--delta", "0", "--gamma", "0", "--ideal")
+SPIN_DOWN_THREE_DOT = ("protocol", "--variant", "three-dot", "--delta", "3.14159265", "--ideal")
+DASH_LED = ("errmap", "--panel", "custom", "--axis1", "theta1", "--axis2", "phi", "--resolution", "3")
+PANEL_B5 = ("errmap", "--panel", "b", "--resolution", "5")
 
 
 ROWS = [
@@ -177,10 +198,70 @@ ROWS = [
        1.0, 1e-12) for a, m in ((1e-11, 0.067), (3e-11, 0.02), (3e-11, 0.067))],
     *[(lambda a=a, m=m, t=t: rashba_angle(a, m, rashba_length(a, m, t)), t, 1e-12 * t)
       for a, m, t in ((4e-11, 0.026, math.pi / 2), (1.2e-11, 0.05, 0.3))],
+    # command line: protocol reports
+    (lambda: json.loads(cli(*SPIN_UP_IDEAL))["p_up"], 1.0, 1e-12),
+    (lambda: json.loads(cli(*SPIN_UP_IDEAL))["occupancy"]["1"], 1.0, 1e-12),
+    (lambda: json.loads(cli("protocol", "--delta", PI_2))["variant"], "two-dot", None),
+    (lambda: json.loads(cli("protocol", "--delta", PI_2))["p_up"], 0.5, 1e-12),
+    (lambda: list(json.loads(cli("protocol", "--delta", PI_2))["amplitudes"]), ["f1", "f2", "g1", "g2"], None),
+    (lambda: [complex(a["re"], a["im"]) for a in json.loads(cli("protocol", "--delta", PI_2))["amplitudes"].values()],
+     [0, -SQ2, 1j * SQ2, 0], 1e-12),
+    (lambda: json.loads(cli(*SPIN_DOWN_THREE_DOT))["occupancy"]["0p"], 1.0, 1e-12),
+    (lambda: itemgetter("p_down", "unconverted")(json.loads(cli(*SPIN_DOWN_THREE_DOT))), (1.0, 0.0), 1e-12),
+    # unset gate flags default to the ideal gates
+    (lambda: json.loads(cli("protocol", "--delta", "1.0", "--psi", "0.3"))["params"],
+     {"theta1": QUARTER, "theta2": QUARTER, "psi": 0.3, "phi": math.pi}, None),
+    # command line: error maps
+    (lambda: cli(*GOLDEN_ARGS), GOLDEN_CSV, None),
+    (lambda: json.loads(cli(*GOLDEN_ARGS, "--format", "json"))["axis1"]["name"], "theta1", None),
+    (lambda: json.loads(cli(*GOLDEN_ARGS, "--format", "json"))["axis2"]["num"], 3, None),
+    (lambda: json.loads(cli(*GOLDEN_ARGS, "--format", "json"))["values"],
+     np.reshape([float(line.split(",")[2]) for line in GOLDEN_CSV.splitlines()[1:]], (3, 3)), 1e-12),
+    # every node of a grid collapsed onto the ideal point reads 0
+    (lambda: [float(line.split(",")[2]) for line in cli("errmap", "--panel", "a", "--resolution", "3", "--range1",
+     "0.785398,0.785398", "--range2", "0.785398,0.785398").splitlines()[1:]], np.zeros(9), 1e-12),
+    # a preset panel takes each range for its own axis
+    (lambda: [line.split(",")[:2] for line in cli("errmap", "--panel", "a", "--resolution", "2", "--range1", "0,1",
+     "--range2", "0,0.5").splitlines()[1:]], [["0", "0"], ["0", "0.5"], ["1", "0"], ["1", "0.5"]], None),
+    (lambda: cli("errmap", "--panel", "custom", "--axis1", "theta", "--axis2", "psi_phi_locked", "--range1",
+                 f"0,{PI_2}", "--range2", f"0,{TWO_PI}", "--resolution", "3")
+     == cli("errmap", "--panel", "c", "--resolution", "3"), True, None),
+    # a preset panel applies a flag for a gate it does not sweep
+    (lambda: cli(*PANEL_B5, "--theta1", "0.5") == cli("errmap", "--panel", "custom", "--axis1", "psi", "--axis2", "phi",
+     "--range1", f"0,{TWO_PI}", "--range2", f"0,{TWO_PI}", "--resolution", "5", "--theta1", "0.5"), True, None),
+    (lambda: cli(*PANEL_B5) != cli(*PANEL_B5, "--theta1", "0.5"), True, None),
+    # psi_phi_locked writes phi = 2v, so its range is bounded by MAX_ANGLE / 2:
+    # accepted up to 500 here, rejected past it in test_cli.py's table
+    (lambda: cli("errmap", "--panel", "custom", "--axis1", "theta", "--axis2", "psi_phi_locked", "--range1", "0,1",
+                 "--range2", "499,500", "--resolution", "2").count("\n"), 1 + 4, None),
+    (lambda: cli("errmap", "--panel", "b", "--resolution", "401").count("\n"), 1 + 401 * 401, None),
+    # a dash-led value reads as a value, spaced or joined by =
+    (lambda: cli(*DASH_LED, "--range1", "-1,1", "--range2", "-0.5,0.5").splitlines()[1].split(",")[:2],
+     ["-1", "-0.5"], None),
+    (lambda: cli(*DASH_LED, "--range1", "-1,1", "--range2", "-0.5,0.5")
+     == cli(*DASH_LED, "--range1=-1,1", "--range2=-0.5,0.5"), True, None),
+    *[(lambda a=a: cli(*a) == cli(*a[:-2], f"{a[-2]}={a[-1]}"), True, None) for a in (
+        ("device", "pulse-angle", "--segments", "-0.658212:1"),
+        ("protocol", "--delta", "1", "--theta1", "-1e-05"),
+        ("montecarlo", "--delta", "1", "--shots", "1000", "--phi", "-2.5e-4"),
+        ("device", "pulse-for-angle", "--angle", "-1e-3", "--duration", "1"),
+        ("device", "rashba-angle", "--alpha", "4e-11", "--length", "-1e-3"))],
+    # command line: seeded Monte Carlo records
+    (lambda: json.loads(cli("montecarlo", "--delta", PI_2, "--shots", "10000", "--seed", "3"))["estimated_p_up"],
+     0.4991, None),
+    (lambda: itemgetter("analytic_p_up", "estimated_p_up")(json.loads(cli(
+        "montecarlo", "--delta", "0", "--shots", "2000", "--seed", "1", "--efficiency", "0.8", "--false-positive", "0.1"
+    ))), (0.8, 0.8), 1e-12),
+    # command line: device calculators
+    (lambda: float(cli("device", "pulse-angle", "--segments", "-0.658212:1").split()[0]), 1.0, 1e-6),
+    (lambda: float(cli("device", "rashba-angle", "--alpha", "0.93e-11", "--length",
+                       cli("device", "rashba-length", "--alpha", "0.93e-11", "--angle", "0.7").split()[0]).split()[0]),
+     0.7, 1e-12 * 0.7),
+    (lambda: cli("device", "pulse-for-angle", "--angle", "0", "--duration", "1"), "0.0 ueV\n", None),
 ]
 
 
-@pytest.mark.parametrize("call, expected, tol", ROWS)
+@pytest.mark.parametrize("call, expected, tol", ROWS, ids=row_ids(ROWS))
 def test_pinned_value(call, expected, tol):
     got = call()
     if tol is None:
