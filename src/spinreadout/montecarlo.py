@@ -3,6 +3,8 @@ imperfect charge detector."""
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,9 +16,17 @@ from .protocol import run_readout
 # [i*BATCH_SHOTS, (i+1)*BATCH_SHOTS) and draws (2, count) uniforms from the
 # substream (seed, i); row 0 decides occupancy, row 1 the detector.
 BATCH_SHOTS = 8192
-# Most shots one call samples.  At the 10-16 ns per shot measured on a 2-CPU
-# host, a run at the limit takes 10-16 s; memory stays at one batch.
+# Most shots one call samples.  At the 6-8 ns per shot measured with both CPUs
+# of a 2-CPU host counting (8-13 ns on one), a run at the limit takes 6-13 s;
+# memory stays at one 128 KiB batch buffer per share (see _shares).
 MAX_SHOTS = 10**9
+# Fewest batches a share is given.  Starting a thread costs about a batch and
+# a half (two batches take 1.5-1.9x as long on two threads as on one); the two
+# break even at 8-12 batches on a 2-CPU host.
+SHARE_BATCHES = 8
+# Most shares one call counts on.  About 28% of a batch holds the GIL, so
+# four threads keep it busy and a fifth adds no speed.
+MAX_SHARES = 4
 
 
 @dataclass(frozen=True)
@@ -63,6 +73,18 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
 
 
+def _shares(n_batches: int) -> list[range]:
+    """Split batches 0..n_batches-1 into contiguous, near-equal ranges: one
+    per CPU this process may run on, at most MAX_SHARES, and each of at least
+    SHARE_BATCHES batches unless there is only one."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    n = max(1, min(cpus, MAX_SHARES, n_batches // SHARE_BATCHES))
+    return [range(n_batches * k // n, n_batches * (k + 1) // n) for k in range(n)]
+
+
 def sample_readout(
     spin_in: SpinInput,
     params: GateParams,
@@ -77,9 +99,12 @@ def sample_readout(
     k of batch i takes the uniforms (u0, u1) from column k of that batch's
     draw (see BATCH_SHOTS): the dot is occupied when u0 < p_occupied, and a
     detection is reported when u1 < efficiency for an occupied dot or
-    u1 < false_positive for an empty one.  The result is a pure function of
-    (inputs, seed), and at a fixed seed the count never falls as the
-    efficiency or the false-positive rate rises.
+    u1 < false_positive for an empty one.  The batches are counted on up to
+    one thread per CPU the process may use (see _shares); a failure in one
+    share stops the others, and the caller's own failure is the one raised.
+    The result is a pure function of (inputs, seed), whatever the number of
+    CPUs, and at a fixed seed the count never falls as the efficiency or the
+    false-positive rate rises.
     """
     check_integer("shots", shots, minimum=1)
     if shots > MAX_SHOTS:
@@ -90,16 +115,49 @@ def sample_readout(
     # ATOL); the uniforms lie in [0, 1), so clamping changes no draw.
     p_occupied = min(max(run_readout(spin_in, params)[1].p_up, 0.0), 1.0)
 
-    detected = 0
-    done = 0
-    batch_index = 0
-    while done < shots:
-        count = min(BATCH_SHOTS, shots - done)
-        u = _batch_rng(seed, batch_index).random((2, count))
-        occupied = u[0] < p_occupied
-        detected += int(np.count_nonzero(occupied & (u[1] < detector.efficiency)))
-        detected += int(np.count_nonzero(~occupied & (u[1] < detector.false_positive)))
-        done += count
-        batch_index += 1
+    counts = []
+    errors = []
+    stop = threading.Event()
+
+    def count(batches):
+        # Batches share no state, so each share counts its own and the sum
+        # does not depend on which thread ran which share.
+        buffer = np.empty(2 * BATCH_SHOTS)
+        detected = 0
+        for i in batches:
+            if stop.is_set():
+                return
+            n = min(BATCH_SHOTS, shots - i * BATCH_SHOTS)
+            u = buffer[: 2 * n].reshape(2, n)
+            _batch_rng(seed, i).random(out=u)
+            occupied = u[0] < p_occupied
+            detected += int(np.count_nonzero(occupied & (u[1] < detector.efficiency)))
+            detected += int(np.count_nonzero(~occupied & (u[1] < detector.false_positive)))
+        counts.append(detected)
+
+    def count_in_thread(batches):
+        try:
+            count(batches)
+        except BaseException as error:  # raised on the calling thread below
+            errors.append(error)
+            stop.set()
+
+    first, *rest = _shares(-(-shots // BATCH_SHOTS))
+    threads = [threading.Thread(target=count_in_thread, args=(batches,)) for batches in rest]
+    try:
+        for thread in threads:
+            thread.start()
+        count(first)
+        for thread in threads:
+            thread.join()
+    except BaseException:  # the caller's own share failed or was interrupted
+        stop.set()
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+        raise
+    if errors:
+        raise errors[0]
+    detected = sum(counts)
     analytic_p_up = effective_outcome_probability(p_occupied, detector)
     return ShotRecord(shots, detected, seed, detected / shots, analytic_p_up)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import linecache
 import math
+import os
 
 import numpy as np
 import pytest
@@ -48,6 +49,12 @@ def forbid_work(monkeypatch):
     rejection is shown to come before any work."""
     monkeypatch.setattr(AxisSpec, "values", lambda self: pytest.fail("an axis was sampled"))
     monkeypatch.setattr(spinreadout.montecarlo, "_batch_rng", lambda *args: pytest.fail("a shot was drawn"))
+
+
+def use_cpus(monkeypatch, n):
+    """Make the process look allowed to run on `n` CPUs, so that
+    `sample_readout` splits its batches into at most `n` shares."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def run_main(argv):

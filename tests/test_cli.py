@@ -10,17 +10,20 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import spinreadout.cli
+import spinreadout.montecarlo
+from spinreadout import GateParams, SpinInput, sample_readout
 from spinreadout.cli import grid_to_csv
 from spinreadout.error_analysis import panel_axes, sweep_grid
-from spinreadout.montecarlo import MAX_SHOTS
+from spinreadout.montecarlo import BATCH_SHOTS, MAX_SHOTS
 
-from shared import GOLDEN_ARGS, forbid_work, run_main
+from shared import GOLDEN_ARGS, forbid_work, run_main, use_cpus
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # argv -> sha256 of stdout and of the --output file (null when there is none).
@@ -145,6 +148,37 @@ def test_memory_error_exits_1_with_one_line(tmp_path, monkeypatch):
     code, out, err = run_main(GOLDEN_ARGS + ["--output", str(path)])
     assert code == 1 and out == "" and not path.exists()
     assert err == "error: out of memory\n"
+
+
+@pytest.mark.parametrize("failing", [0, 20], ids=["calling-thread", "worker-thread"])
+def test_a_failing_share_stops_the_other_and_reaches_the_caller(monkeypatch, failing):
+    # 40 batches over 2 CPUs: the calling thread counts batches 0-19 and one
+    # worker thread 20-39.  Batch `failing` opens one share and raises; the
+    # other share's first batch waits for that, so its next stop check comes
+    # after the failure and it must end before its last batch.
+    draw = spinreadout.montecarlo._batch_rng
+    raised = threading.Event()
+    drawn = set()
+
+    def exhausted_at_one_batch(seed, batch_index):
+        if batch_index == failing:
+            raised.set()
+            raise MemoryError
+        if batch_index == 20 - failing:
+            raised.wait(10)
+        drawn.add(batch_index)
+        return draw(seed, batch_index)
+
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(spinreadout.montecarlo, "_batch_rng", exhausted_at_one_batch)
+    threads = threading.active_count()
+    with pytest.raises(MemoryError):
+        sample_readout(SpinInput(1.0, 0.0), GateParams.ideal(), 40 * BATCH_SHOTS, 7)
+    assert threading.active_count() == threads
+    assert 19 not in drawn and 39 not in drawn
+    code, out, err = run_main(["montecarlo", "--delta", "1", "--shots", str(40 * BATCH_SHOTS)])
+    assert (code, out, err) == (1, "", "error: out of memory\n")
+    assert threading.active_count() == threads
 
 
 def readme_commands():

@@ -48,11 +48,11 @@ from spinreadout import (
 from spinreadout.cli import grid_to_csv
 from spinreadout.core import ATOL, MAX_ANGLE
 from spinreadout.error_analysis import AXIS_NAMES, MAX_GRID_NODES
-from spinreadout.montecarlo import BATCH_SHOTS, MAX_SHOTS, _batch_rng
+from spinreadout.montecarlo import BATCH_SHOTS, MAX_SHARES, MAX_SHOTS, SHARE_BATCHES, _batch_rng, _shares
 from spinreadout.quadrature import avg_abs_error_quadrature
 from spinreadout.report import _BLOCK_NODES
 
-from shared import ALL_GATES, DELTAS, GAMMAS, GATE_ANGLES, PROPERTY, run_main
+from shared import ALL_GATES, DELTAS, GAMMAS, GATE_ANGLES, PROPERTY, run_main, use_cpus
 
 # Sweep-axis ends: psi_phi_locked writes phi = 2 v, so an end must stay within MAX_ANGLE / 2.
 ANGLES = st.floats(-4 * math.pi, 4 * math.pi)
@@ -278,22 +278,50 @@ def reference_detected(p_occupied, shots, seed, detector):
 SHOTS = st.integers(1, 2 * BATCH_SHOTS + 1)
 
 
+# CPUs the process may use.  A share holds at least SHARE_BATCHES batches, so
+# a drawn case (at most 3 batches) counts on the calling thread alone, and the
+# @examples of 17, 25 and 33 batches split into 8 + 9 on 2 CPUs, 8 + 8 + 9 on
+# 3, and 8 + 8 + 8 + 9 on 16, which MAX_SHARES caps at 4.
+CPUS = st.sampled_from([1, 2, 3, 16])
+
+
 @PROPERTY
-@given(ALL_GATES, DELTAS, GAMMAS, DETECTORS, SHOTS, st.integers(0, 2**63))
-@example(GateParams.ideal(), 0.0, 0.0, DetectorModel(0.0, 0.0), 2 * BATCH_SHOTS + 1, 1)
-@example(GateParams.ideal(), 0.0, 0.0, DetectorModel(1.0, 1.0), BATCH_SHOTS + 1, 2)
-@example(GateParams.ideal(), 0.0, 0.0, DetectorModel(0.0, 1.0), BATCH_SHOTS, 3)
-@example(GateParams.ideal(), math.pi, 0.0, DetectorModel(1.0, 0.0), BATCH_SHOTS - 1, 4)
-@example(GateParams.ideal(), math.pi, 0.0, DetectorModel(0.0, 1.0), 1, 2**63)
+@given(ALL_GATES, DELTAS, GAMMAS, DETECTORS, SHOTS, st.integers(0, 2**63), CPUS)
+@example(GateParams.ideal(), 0.0, 0.0, DetectorModel(0.0, 0.0), 2 * BATCH_SHOTS + 1, 1, 2)
+@example(GateParams.ideal(), 0.0, 0.0, DetectorModel(1.0, 1.0), BATCH_SHOTS + 1, 2, 1)
+@example(GateParams.ideal(), 0.0, 0.0, DetectorModel(0.0, 1.0), BATCH_SHOTS, 3, 3)
+@example(GateParams.ideal(), math.pi, 0.0, DetectorModel(1.0, 0.0), BATCH_SHOTS - 1, 4, 2)
+@example(GateParams.ideal(), math.pi, 0.0, DetectorModel(0.0, 1.0), 1, 2**63, 1)
+@example(GateParams.ideal(), 1.0, 0.0, DetectorModel(0.9, 0.05), 16 * BATCH_SHOTS + 1, 5, 1)
+@example(GateParams.ideal(), 1.0, 0.0, DetectorModel(0.9, 0.05), 16 * BATCH_SHOTS + 1, 5, 2)
+@example(GateParams.ideal(), 1.0, 0.0, DetectorModel(0.9, 0.05), 24 * BATCH_SHOTS + 1, 5, 3)
+@example(GateParams.ideal(), 1.0, 0.0, DetectorModel(0.9, 0.05), 32 * BATCH_SHOTS + 5, 11, 16)
 # p_up of this gate set rounds to 1 + 4.4e-16, so the clamp is exercised.
 @example(GateParams(-3.9269908169872414, -3.9269908169872414, math.pi / 2, math.pi),
-         0.0, 0.0, DetectorModel(0.3, 0.7), 2 * BATCH_SHOTS + 1, 0)
-def test_sample_readout_count_equals_per_shot_reference(params, delta, gamma, detector, shots, seed):
+         0.0, 0.0, DetectorModel(0.3, 0.7), 2 * BATCH_SHOTS + 1, 0, 2)
+def test_sample_readout_count_equals_per_shot_reference(params, delta, gamma, detector, shots, seed, cpus):
     spin = SpinInput(delta, gamma)
     p_occupied = min(max(run_readout(spin, params)[1].p_up, 0.0), 1.0)
-    record = sample_readout(spin, params, shots, seed, detector)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        use_cpus(monkeypatch, cpus)
+        record = sample_readout(spin, params, shots, seed, detector)
     assert record.shots == shots
     assert record.detected_dot1 == reference_detected(p_occupied, shots, seed, detector)
+
+
+@PROPERTY
+@given(st.integers(1, -(-MAX_SHOTS // BATCH_SHOTS)), st.integers(1, 64))
+@example(123, 2)
+def test_shares_cover_every_batch_once_and_keep_to_their_caps(n_batches, cpus):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        use_cpus(monkeypatch, cpus)
+        shares = _shares(n_batches)
+    # Contiguous and in order, from batch 0 to the last.
+    assert [0] + [share.stop for share in shares] == [share.start for share in shares] + [n_batches]
+    assert len(shares) == 1 or min(map(len, shares)) >= SHARE_BATCHES
+    # As many shares as the CPUs and MAX_SHARES allow, unless one more would be too small.
+    assert len(shares) <= min(cpus, MAX_SHARES)
+    assert len(shares) == min(cpus, MAX_SHARES) or (len(shares) + 1) * SHARE_BATCHES > n_batches
 
 
 ORDERED_PAIRS = st.tuples(PROBABILITIES, PROBABILITIES).map(sorted)
