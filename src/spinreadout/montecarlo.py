@@ -13,19 +13,23 @@ from .core import GateParams, SpinInput, ValidationError, check_integer, check_p
 from .protocol import run_readout
 
 # Common-random-numbers contract: batch i covers shots
-# [i*BATCH_SHOTS, (i+1)*BATCH_SHOTS) and draws (2, count) uniforms from the
-# substream (seed, i); row 0 decides occupancy, row 1 the detector.
+# [i*BATCH_SHOTS, (i+1)*BATCH_SHOTS) and draws (2, count) uniforms from
+# numpy's PCG64 seeded by SeedSequence(entropy=seed, spawn_key=(i,)); row 0
+# decides occupancy, row 1 the detector.
 BATCH_SHOTS = 8192
-# Most shots one call samples.  At the 6-8 ns per shot measured with both CPUs
-# of a 2-CPU host counting (8-13 ns on one), a run at the limit takes 6-13 s;
-# memory stays at one 128 KiB batch buffer per share (see _shares).
+# Most shots one call samples.  At the 4-8 ns per shot measured with both CPUs
+# of a 2-CPU host counting (6-11 ns on one), a run at the limit takes 4-11 s;
+# memory stays at one 128 KiB batch buffer and one chunk of seed words per
+# share (see _shares and SEED_CHUNK).
 MAX_SHOTS = 10**9
 # Fewest batches a share is given.  Starting a thread costs about a batch and
 # a half (two batches take 1.5-1.9x as long on two threads as on one); the two
-# break even at 8-12 batches on a 2-CPU host.
+# broke even at 8-12 batches on a 2-CPU host whose second CPU was free, and
+# not below 123 batches while the host was busy.
 SHARE_BATCHES = 8
-# Most shares one call counts on.  About 28% of a batch holds the GIL, so
-# four threads keep it busy and a fifth adds no speed.
+# Most shares one call counts on.  About 10% of a batch holds the GIL, so the
+# lock alone would allow more; four is kept because threads past two were
+# timed only with the affinity faked on a 2-CPU host, where they cost time.
 MAX_SHARES = 4
 
 
@@ -68,9 +72,59 @@ def effective_outcome_probability(p_occupied: float, detector: DetectorModel) ->
     return p_occupied * detector.efficiency + (1.0 - p_occupied) * detector.false_positive
 
 
-def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
-    # PCG64 substream keyed by (seed, batch index); stable across numpy versions.
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
+# numpy's SeedSequence constants; NEP 19 keeps its output stable.  Its pool
+# hash multiplies its constant by _MULT_A once per word hashed, and its
+# output hash runs the constants _INIT_B * _MULT_B**k.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POWERS_A = np.array([pow(_MULT_A, k, 2**32) for k in range(5)], np.uint32)
+_OUTPUT_CONSTANTS = np.array([_INIT_B * pow(_MULT_B, k, 2**32) % 2**32 for k in range(9)], np.uint32)
+# Batches whose seeds one array pass derives.  A share of a 10^6-shot call (at
+# most 123 batches) takes one pass, and memory does not grow with the call:
+# with one pass per share, a 10^9-shot call peaked at 74 MB against 36 MB.
+SEED_CHUNK = 128
+
+
+def _hashmix(value: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of the uint32 `value`, column k under the
+    constants c[k] and c[k + 1]."""
+    value = (value ^ c[:-1]) * c[1:]
+    return value ^ value >> 16
+
+
+def _seed_words(seed: int, keys: range) -> np.ndarray:
+    """Row j is SeedSequence(entropy=seed, spawn_key=(keys[j],))
+    .generate_state(4, np.uint64), derived for every key in one array pass."""
+    # Mixing the seed's words leaves numpy's own pool of the seed alone, and
+    # the hash constant advanced 16 times, plus 4 per seed word past the fourth.
+    pool = np.random.SeedSequence(entropy=seed).pool
+    h = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, -(-int(seed).bit_length() // 32) - 4), 2**32) % 2**32
+    # The key, SeedSequence's last entropy word, is hashed into each pool word.
+    key = np.arange(keys.start, keys.stop, dtype=np.uint32)[:, None]
+    mixed = pool * _MIX_L - _hashmix(key, np.uint32(h) * _POWERS_A) * _MIX_R
+    mixed ^= mixed >> 16
+    # generate_state hashes the pool twice over into 8 words, which it reads
+    # in pairs as little-endian uint64s.
+    state = _hashmix(np.concatenate([mixed, mixed], axis=1), _OUTPUT_CONSTANTS)
+    return state.astype("<u4", copy=False).view("<u8")
+
+
+# PCG64's 128-bit multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _load(bit_generator: np.random.PCG64, words: list[int]) -> None:
+    """Put `bit_generator` in the state numpy's PCG64 takes from a seed
+    sequence whose generate_state(4, np.uint64) is `words`: words 0-1 are
+    the initial state and 2-3 the stream, high word first, and PCG64 steps
+    once from 0 with the stream's increment, adds the state, and steps again."""
+    w0, w1, w2, w3 = words
+    inc = ((w2 << 64 | w3) << 1 | 1) % 2**128
+    state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) % 2**128
+    bit_generator.state = {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0
+    }
 
 
 def _shares(n_batches: int) -> list[range]:
@@ -123,16 +177,21 @@ def sample_readout(
         # Batches share no state, so each share counts its own and the sum
         # does not depend on which thread ran which share.
         buffer = np.empty(2 * BATCH_SHOTS)
+        bit_generator = np.random.PCG64(0)  # each batch loads its own state
+        generator = np.random.Generator(bit_generator)
         detected = 0
-        for i in batches:
-            if stop.is_set():
-                return
-            n = min(BATCH_SHOTS, shots - i * BATCH_SHOTS)
-            u = buffer[: 2 * n].reshape(2, n)
-            _batch_rng(seed, i).random(out=u)
-            occupied = u[0] < p_occupied
-            detected += int(np.count_nonzero(occupied & (u[1] < detector.efficiency)))
-            detected += int(np.count_nonzero(~occupied & (u[1] < detector.false_positive)))
+        for k in range(0, len(batches), SEED_CHUNK):
+            keys = batches[k : k + SEED_CHUNK]
+            for i, words in zip(keys, _seed_words(seed, keys).tolist()):
+                if stop.is_set():
+                    return
+                n = min(BATCH_SHOTS, shots - i * BATCH_SHOTS)
+                u = buffer[: 2 * n].reshape(2, n)
+                _load(bit_generator, words)
+                generator.random(out=u)
+                occupied = u[0] < p_occupied
+                detected += int(np.count_nonzero(occupied & (u[1] < detector.efficiency)))
+                detected += int(np.count_nonzero(~occupied & (u[1] < detector.false_positive)))
         counts.append(detected)
 
     def count_in_thread(batches):

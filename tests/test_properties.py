@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import spinreadout.montecarlo
 import spinreadout.protocol
 from spinreadout import (
     AxisSpec,
@@ -48,7 +49,7 @@ from spinreadout import (
 from spinreadout.cli import grid_to_csv
 from spinreadout.core import ATOL, MAX_ANGLE
 from spinreadout.error_analysis import AXIS_NAMES, MAX_GRID_NODES
-from spinreadout.montecarlo import BATCH_SHOTS, MAX_SHARES, MAX_SHOTS, SHARE_BATCHES, _batch_rng, _shares
+from spinreadout.montecarlo import BATCH_SHOTS, MAX_SHARES, MAX_SHOTS, SHARE_BATCHES, _seed_words, _shares
 from spinreadout.quadrature import avg_abs_error_quadrature
 from spinreadout.report import _BLOCK_NODES
 
@@ -264,11 +265,12 @@ def test_sample_readout_accepts_every_valid_input(params, delta, gamma, detector
 
 
 def reference_detected(p_occupied, shots, seed, detector):
-    """Per-shot `np.where` count over the library's batch draws, written out
-    here apart from `sample_readout`'s counting."""
+    """Per-shot `np.where` count over the batch draws of the contract, each
+    from numpy's own seeding, written out here apart from `sample_readout`."""
     detected = 0
     for i, start in enumerate(range(0, shots, BATCH_SHOTS)):
-        u = _batch_rng(seed, i).random((2, min(BATCH_SHOTS, shots - start)))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        u = rng.random((2, min(BATCH_SHOTS, shots - start)))
         occupied = u[0] < p_occupied
         reported = np.where(occupied, u[1] < detector.efficiency, u[1] < detector.false_positive)
         detected += int(np.count_nonzero(reported))
@@ -276,6 +278,33 @@ def reference_detected(p_occupied, shots, seed, detector):
 
 
 SHOTS = st.integers(1, 2 * BATCH_SHOTS + 1)
+LAST_BATCH = -(-MAX_SHOTS // BATCH_SHOTS) - 1
+
+
+# Seeds past 2**128 have more than four uint32 words, which numpy mixes in
+# after its pool is full.
+@PROPERTY
+@given(st.integers(0, 2**300), st.integers(0, LAST_BATCH))
+@example(0, 0)
+@example(2**32 - 1, LAST_BATCH)
+@example(2**32, 1)
+@example(2**128 - 1, LAST_BATCH)
+@example(2**128, 0)
+@example(2**128 + 1, LAST_BATCH)
+def test_seed_words_equal_numpys_seed_sequence(seed, i):
+    expected = np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4, np.uint64)
+    assert _seed_words(seed, range(i, i + 1)).tolist() == [expected.tolist()]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_seed_chunks_leave_the_count_unchanged(monkeypatch, chunk):
+    # 17 batches on 2 CPUs are shares of 8 and 9, each cut into chunks here.
+    shots, detector = 17 * BATCH_SHOTS - 3, DetectorModel(0.9, 0.05)
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(spinreadout.montecarlo, "SEED_CHUNK", chunk)
+    record = sample_readout(SpinInput(1.0), GateParams.ideal(), shots, 3, detector)
+    p_occupied = run_readout(SpinInput(1.0), GateParams.ideal())[1].p_up
+    assert record.detected_dot1 == reference_detected(p_occupied, shots, 3, detector)
 
 
 # CPUs the process may use.  A share holds at least SHARE_BATCHES batches, so
