@@ -110,21 +110,18 @@ def _seed_words(seed: int, keys: range) -> np.ndarray:
     return state.astype("<u4", copy=False).view("<u8")
 
 
-# PCG64's 128-bit multiplier.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+class _Words:
+    """A batch's seed words as numpy's PCG64 takes a seed sequence: PCG64
+    seeds itself from generate_state(4, np.uint64).  sample_readout registers
+    it as an ISeedSequence, so importing this module loads no numpy.random."""
 
+    def __init__(self, words: np.ndarray):
+        self.words = words
 
-def _load(bit_generator: np.random.PCG64, words: list[int]) -> None:
-    """Put `bit_generator` in the state numpy's PCG64 takes from a seed
-    sequence whose generate_state(4, np.uint64) is `words`: words 0-1 are
-    the initial state and 2-3 the stream, high word first, and PCG64 steps
-    once from 0 with the stream's increment, adds the state, and steps again."""
-    w0, w1, w2, w3 = words
-    inc = ((w2 << 64 | w3) << 1 | 1) % 2**128
-    state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) % 2**128
-    bit_generator.state = {
-        "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0
-    }
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        # PCG64 reads the returned buffer as it is, so it must be C-ordered
+        # native uint64.
+        return np.ascontiguousarray(self.words, np.uint64)
 
 
 def _shares(n_batches: int) -> list[range]:
@@ -169,6 +166,7 @@ def sample_readout(
     # ATOL); the uniforms lie in [0, 1), so clamping changes no draw.
     p_occupied = min(max(run_readout(spin_in, params)[1].p_up, 0.0), 1.0)
 
+    np.random.bit_generator.ISeedSequence.register(_Words)
     counts = []
     errors = []
     stop = threading.Event()
@@ -177,18 +175,15 @@ def sample_readout(
         # Batches share no state, so each share counts its own and the sum
         # does not depend on which thread ran which share.
         buffer = np.empty(2 * BATCH_SHOTS)
-        bit_generator = np.random.PCG64(0)  # each batch loads its own state
-        generator = np.random.Generator(bit_generator)
         detected = 0
         for k in range(0, len(batches), SEED_CHUNK):
             keys = batches[k : k + SEED_CHUNK]
-            for i, words in zip(keys, _seed_words(seed, keys).tolist()):
+            for i, words in zip(keys, _seed_words(seed, keys)):
                 if stop.is_set():
                     return
                 n = min(BATCH_SHOTS, shots - i * BATCH_SHOTS)
                 u = buffer[: 2 * n].reshape(2, n)
-                _load(bit_generator, words)
-                generator.random(out=u)
+                np.random.Generator(np.random.PCG64(_Words(words))).random(out=u)
                 occupied = u[0] < p_occupied
                 detected += int(np.count_nonzero(occupied & (u[1] < detector.efficiency)))
                 detected += int(np.count_nonzero(~occupied & (u[1] < detector.false_positive)))

@@ -48,7 +48,7 @@ def forbid_work(monkeypatch):
     """Fail the test if an axis is sampled or a shot is drawn, so that a
     rejection is shown to come before any work."""
     monkeypatch.setattr(AxisSpec, "values", lambda self: pytest.fail("an axis was sampled"))
-    monkeypatch.setattr(spinreadout.montecarlo, "_load", lambda *args: pytest.fail("a shot was drawn"))
+    monkeypatch.setattr(spinreadout.montecarlo, "_seed_words", lambda *args: pytest.fail("a shot was drawn"))
 
 
 def use_cpus(monkeypatch, n):

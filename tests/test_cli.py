@@ -21,7 +21,7 @@ import spinreadout.montecarlo
 from spinreadout import GateParams, SpinInput, sample_readout
 from spinreadout.cli import grid_to_csv
 from spinreadout.error_analysis import panel_axes, sweep_grid
-from spinreadout.montecarlo import BATCH_SHOTS, MAX_SHOTS, _seed_words
+from spinreadout.montecarlo import BATCH_SHOTS, MAX_SHOTS, _seed_words, _Words
 
 from shared import GOLDEN_ARGS, forbid_work, run_main, use_cpus
 
@@ -157,23 +157,23 @@ def test_a_failing_share_stops_the_other_and_reaches_the_caller(monkeypatch, fai
     # other share's first batch waits for that, so its next stop check comes
     # after the failure and it must end before its last batch.  A batch is
     # known by its seed words, at seed 7 here and 0 in the command below.
-    draw = spinreadout.montecarlo._load
     batch_of = {tuple(words): i for seed in (0, 7) for i, words in enumerate(_seed_words(seed, range(40)).tolist())}
     raised = threading.Event()
     drawn = set()
 
-    def exhausted_at_one_batch(bit_generator, words):
-        batch_index = batch_of[tuple(words)]
-        if batch_index == failing:
-            raised.set()
-            raise MemoryError
-        if batch_index == 20 - failing:
-            raised.wait(10)
-        drawn.add(batch_index)
-        return draw(bit_generator, words)
+    class ExhaustedAtOneBatch(_Words):
+        def generate_state(self, *args):
+            batch_index = batch_of[tuple(self.words.tolist())]
+            if batch_index == failing:
+                raised.set()
+                raise MemoryError
+            if batch_index == 20 - failing:
+                raised.wait(10)
+            drawn.add(batch_index)
+            return super().generate_state(*args)
 
     use_cpus(monkeypatch, 2)
-    monkeypatch.setattr(spinreadout.montecarlo, "_load", exhausted_at_one_batch)
+    monkeypatch.setattr(spinreadout.montecarlo, "_Words", ExhaustedAtOneBatch)
     threads = threading.active_count()
     with pytest.raises(MemoryError):
         sample_readout(SpinInput(1.0, 0.0), GateParams.ideal(), 40 * BATCH_SHOTS, 7)

@@ -1,5 +1,6 @@
 """The package root: `import spinreadout` loads no submodule, each public name
-loads only the submodule that defines it, and `__all__` is the public surface."""
+loads only the submodule that defines it, importing the command line loads no
+numpy.random, and `__all__` is the public surface."""
 
 import importlib
 import os
@@ -25,10 +26,11 @@ PUBLIC = {
 
 
 def _loaded_after(statement: str) -> list[str]:
-    """The spinreadout submodules a fresh interpreter holds after `statement`."""
+    """The spinreadout submodules and numpy.random modules a fresh interpreter
+    holds after `statement`."""
     src = str(Path(spinreadout.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    report = "import sys; print(*sorted(m for m in sys.modules if m.startswith('spinreadout.')))"
+    report = "import sys; print(*sorted(m for m in sys.modules if m.startswith(('spinreadout.', 'numpy.random'))))"
     result = subprocess.run(
         [sys.executable, "-c", f"{statement}\n{report}"],
         env=dict(os.environ, PYTHONPATH=path),
@@ -51,6 +53,11 @@ def test_a_public_name_loads_only_its_submodule():
 def test_each_submodule_is_an_attribute_after_a_bare_import():
     statement = f"import spinreadout\nfor m in {SUBMODULES!r}: getattr(spinreadout, m).__name__"
     assert _loaded_after(statement) == [f"spinreadout.{m}" for m in SUBMODULES]
+
+
+def test_importing_the_command_line_loads_no_numpy_random():
+    # Loading numpy.random adds about 14 ms and 6 MB to a command; only sampling needs it.
+    assert not [m for m in _loaded_after("import spinreadout.cli") if m.startswith("numpy.random")]
 
 
 def test_star_import_binds_every_public_name_from_its_submodule():

@@ -251,19 +251,6 @@ def test_three_dot_matches_two_dot_classification(delta, gamma):
     assert dot_occupancy(out3, "0") <= 1e-12
 
 
-@PROPERTY
-@given(ALL_GATES, DELTAS, GAMMAS, DETECTORS, st.integers(0, 2**63))
-# p_up of this gate set rounds to 1 + 4.4e-16, within ATOL of 1.
-@example(GateParams(-3.9269908169872414, -3.9269908169872414, math.pi / 2, math.pi),
-         0.0, 0.0, DetectorModel(), 0)
-def test_sample_readout_accepts_every_valid_input(params, delta, gamma, detector, seed):
-    record = sample_readout(SpinInput(delta, gamma), params, 10, seed, detector)
-    assert 0 <= record.detected_dot1 <= 10 and record.seed == seed
-    p_up = run_readout(SpinInput(delta, gamma), params)[1].p_up
-    expected = p_up * detector.efficiency + (1.0 - p_up) * detector.false_positive
-    assert abs(record.analytic_p_up - expected) <= ATOL
-
-
 def reference_detected(p_occupied, shots, seed, detector):
     """Per-shot `np.where` count over the batch draws of the contract, each
     from numpy's own seeding, written out here apart from `sample_readout`."""
@@ -325,17 +312,23 @@ CPUS = st.sampled_from([1, 2, 3, 16])
 @example(GateParams.ideal(), 1.0, 0.0, DetectorModel(0.9, 0.05), 16 * BATCH_SHOTS + 1, 5, 2)
 @example(GateParams.ideal(), 1.0, 0.0, DetectorModel(0.9, 0.05), 24 * BATCH_SHOTS + 1, 5, 3)
 @example(GateParams.ideal(), 1.0, 0.0, DetectorModel(0.9, 0.05), 32 * BATCH_SHOTS + 5, 11, 16)
-# p_up of this gate set rounds to 1 + 4.4e-16, so the clamp is exercised.
+# p_up of this gate set rounds to 1 + 4.4e-16, within ATOL of 1, so the
+# clamp is exercised.
 @example(GateParams(-3.9269908169872414, -3.9269908169872414, math.pi / 2, math.pi),
          0.0, 0.0, DetectorModel(0.3, 0.7), 2 * BATCH_SHOTS + 1, 0, 2)
+@example(GateParams(-3.9269908169872414, -3.9269908169872414, math.pi / 2, math.pi),
+         0.0, 0.0, DetectorModel(), 10, 0, 1)
 def test_sample_readout_count_equals_per_shot_reference(params, delta, gamma, detector, shots, seed, cpus):
     spin = SpinInput(delta, gamma)
-    p_occupied = min(max(run_readout(spin, params)[1].p_up, 0.0), 1.0)
+    p_up = run_readout(spin, params)[1].p_up
+    p_occupied = min(max(p_up, 0.0), 1.0)
     with pytest.MonkeyPatch.context() as monkeypatch:
         use_cpus(monkeypatch, cpus)
         record = sample_readout(spin, params, shots, seed, detector)
-    assert record.shots == shots
+    assert record.shots == shots and record.seed == seed
     assert record.detected_dot1 == reference_detected(p_occupied, shots, seed, detector)
+    expected = p_up * detector.efficiency + (1.0 - p_up) * detector.false_positive
+    assert abs(record.analytic_p_up - expected) <= ATOL
 
 
 @PROPERTY
