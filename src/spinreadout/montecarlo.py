@@ -19,8 +19,8 @@ from .protocol import run_readout
 BATCH_SHOTS = 8192
 # Most shots one call samples.  At the 4-8 ns per shot measured with both CPUs
 # of a 2-CPU host counting (6-11 ns on one), a run at the limit takes 4-11 s;
-# memory stays at one 128 KiB batch buffer and one chunk of seed words per
-# share (see _shares and SEED_CHUNK).
+# memory holds 32 B of seed words per batch, once per call whatever the share
+# count (3.9 MB at the limit), and one 128 KiB batch buffer per share.
 MAX_SHOTS = 10**9
 # Fewest batches a share is given.  Starting a thread costs about a batch and
 # a half (two batches take 1.5-1.9x as long on two threads as on one); the two
@@ -29,7 +29,8 @@ MAX_SHOTS = 10**9
 SHARE_BATCHES = 8
 # Most shares one call counts on.  About 10% of a batch holds the GIL, so the
 # lock alone would allow more; four is kept because threads past two were
-# timed only with the affinity faked on a 2-CPU host, where they cost time.
+# timed only with the affinity faked on a 2-CPU host, where four ran a
+# 10^6-shot call 17-32% slower than two.
 MAX_SHARES = 4
 
 
@@ -80,10 +81,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POWERS_A = np.array([pow(_MULT_A, k, 2**32) for k in range(5)], np.uint32)
 _OUTPUT_CONSTANTS = np.array([_INIT_B * pow(_MULT_B, k, 2**32) % 2**32 for k in range(9)], np.uint32)
-# Batches whose seeds one array pass derives.  A share of a 10^6-shot call (at
-# most 123 batches) takes one pass, and memory does not grow with the call:
-# with one pass per share, a 10^9-shot call peaked at 74 MB against 36 MB.
-SEED_CHUNK = 128
 
 
 def _hashmix(value: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -167,6 +164,8 @@ def sample_readout(
     p_occupied = min(max(run_readout(spin_in, params)[1].p_up, 0.0), 1.0)
 
     np.random.bit_generator.ISeedSequence.register(_Words)
+    n_batches = -(-shots // BATCH_SHOTS)
+    words = _seed_words(seed, range(n_batches))
     counts = []
     errors = []
     stop = threading.Event()
@@ -176,17 +175,15 @@ def sample_readout(
         # does not depend on which thread ran which share.
         buffer = np.empty(2 * BATCH_SHOTS)
         detected = 0
-        for k in range(0, len(batches), SEED_CHUNK):
-            keys = batches[k : k + SEED_CHUNK]
-            for i, words in zip(keys, _seed_words(seed, keys)):
-                if stop.is_set():
-                    return
-                n = min(BATCH_SHOTS, shots - i * BATCH_SHOTS)
-                u = buffer[: 2 * n].reshape(2, n)
-                np.random.Generator(np.random.PCG64(_Words(words))).random(out=u)
-                occupied = u[0] < p_occupied
-                detected += int(np.count_nonzero(occupied & (u[1] < detector.efficiency)))
-                detected += int(np.count_nonzero(~occupied & (u[1] < detector.false_positive)))
+        for i in batches:
+            if stop.is_set():
+                return
+            n = min(BATCH_SHOTS, shots - i * BATCH_SHOTS)
+            u = buffer[: 2 * n].reshape(2, n)
+            np.random.Generator(np.random.PCG64(_Words(words[i]))).random(out=u)
+            occupied = u[0] < p_occupied
+            detected += int(np.count_nonzero(occupied & (u[1] < detector.efficiency)))
+            detected += int(np.count_nonzero(~occupied & (u[1] < detector.false_positive)))
         counts.append(detected)
 
     def count_in_thread(batches):
@@ -196,7 +193,7 @@ def sample_readout(
             errors.append(error)
             stop.set()
 
-    first, *rest = _shares(-(-shots // BATCH_SHOTS))
+    first, *rest = _shares(n_batches)
     threads = [threading.Thread(target=count_in_thread, args=(batches,)) for batches in rest]
     try:
         for thread in threads:

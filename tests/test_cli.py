@@ -223,9 +223,17 @@ def test_readme_names_only_tests_and_test_files_that_exist():
     assert not {path for path in paths if not (README.parent / path).is_file()}
 
 
-@pytest.mark.parametrize("row", DIGESTS, ids=lambda row: row["argv"])
-def test_command_bytes_match_the_digest_table(monkeypatch, tmp_path, row):
+# Every row on the CPUs the process may use, and each montecarlo row again on
+# one CPU, where the calling thread counts every batch.
+@pytest.mark.parametrize(
+    "row, cpus",
+    [pytest.param(row, None, id=row["argv"]) for row in DIGESTS]
+    + [pytest.param(row, 1, id=f"{row['argv']} on 1 CPU") for row in DIGESTS if " montecarlo " in row["argv"]],
+)
+def test_command_bytes_match_the_digest_table(monkeypatch, tmp_path, row, cpus):
     monkeypatch.chdir(tmp_path)
+    if cpus:
+        use_cpus(monkeypatch, cpus)
     argv = shlex.split(row["argv"])
     code, out, err = run_main(argv[1:])
     assert code == 0, err

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import spinreadout.montecarlo
 import spinreadout.protocol
 from spinreadout import (
     AxisSpec,
@@ -281,17 +280,6 @@ LAST_BATCH = -(-MAX_SHOTS // BATCH_SHOTS) - 1
 def test_seed_words_equal_numpys_seed_sequence(seed, i):
     expected = np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4, np.uint64)
     assert _seed_words(seed, range(i, i + 1)).tolist() == [expected.tolist()]
-
-
-@pytest.mark.parametrize("chunk", [1, 2, 5])
-def test_seed_chunks_leave_the_count_unchanged(monkeypatch, chunk):
-    # 17 batches on 2 CPUs are shares of 8 and 9, each cut into chunks here.
-    shots, detector = 17 * BATCH_SHOTS - 3, DetectorModel(0.9, 0.05)
-    use_cpus(monkeypatch, 2)
-    monkeypatch.setattr(spinreadout.montecarlo, "SEED_CHUNK", chunk)
-    record = sample_readout(SpinInput(1.0), GateParams.ideal(), shots, 3, detector)
-    p_occupied = run_readout(SpinInput(1.0), GateParams.ideal())[1].p_up
-    assert record.detected_dot1 == reference_detected(p_occupied, shots, 3, detector)
 
 
 # CPUs the process may use.  A share holds at least SHARE_BATCHES batches, so
