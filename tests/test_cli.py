@@ -21,7 +21,7 @@ import spinreadout.montecarlo
 from spinreadout import GateParams, SpinInput, sample_readout
 from spinreadout.cli import grid_to_csv
 from spinreadout.error_analysis import panel_axes, sweep_grid
-from spinreadout.montecarlo import BATCH_SHOTS, MAX_SHOTS, _seed_words, _Words
+from spinreadout.montecarlo import BATCH_SHOTS, MAX_SHOTS, _seed_words, _shares, _Words
 
 from shared import GOLDEN_ARGS, forbid_work, run_main, use_cpus
 
@@ -182,6 +182,26 @@ def test_a_failing_share_stops_the_other_and_reaches_the_caller(monkeypatch, fai
     code, out, err = run_main(["montecarlo", "--delta", "1", "--shots", str(40 * BATCH_SHOTS)])
     assert (code, out, err) == (1, "", "error: out of memory\n")
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_seed_words_are_derived_once_per_call_whatever_the_share_count(monkeypatch, cpus):
+    # 33 batches make one share per CPU here: 33, 16 + 17 or 8 + 8 + 8 + 9.
+    derived, split = [], []
+
+    def seed_words(seed, keys):
+        derived.append(keys)
+        return _seed_words(seed, keys)
+
+    def shares(n_batches):
+        split.extend(_shares(n_batches))
+        return split
+
+    use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(spinreadout.montecarlo, "_seed_words", seed_words)
+    monkeypatch.setattr(spinreadout.montecarlo, "_shares", shares)
+    sample_readout(SpinInput(1.0, 0.0), GateParams.ideal(), 33 * BATCH_SHOTS, 7)
+    assert len(split) == cpus and derived == [range(33)]
 
 
 def readme_commands():
