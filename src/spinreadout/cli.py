@@ -2,15 +2,19 @@
 
 A handler maps the parsed flags to a value: an ErrorGrid, a ShotRecord, the
 protocol report or a device calculator's (value, unit) pair.  `main` turns it
-into text with a writer from `report` and sends that to stdout or --output.
+into bytes with a writer from `report` and sends them to stdout or --output.
 Output is deterministic for a fixed flag set (including --seed).  Validation
-runs before any computation or file I/O, so a failed run leaves no partial file.
+runs before any computation or file I/O, so a run that fails it writes nothing.
+--output overwrites an existing file in place and cuts it to the new length;
+an I/O failure during the write exits 1 and may leave old and new bytes mixed.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
 from dataclasses import replace
 
@@ -61,12 +65,16 @@ _TWO_DOT_LABELS = {
 }
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(data: bytes, path: str | None) -> None:
+    """Write `data` to stdout as text, or over the file at `path` in place,
+    then cut a regular file to its new length; a file is never emptied first."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        sys.stdout.write(data.decode("ascii"))
+        return
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def _parse_pair(text: str, field: str, sep: str, form: str) -> tuple[float, float]:
@@ -293,10 +301,10 @@ def main(argv: list[str] | None = None) -> int:
         result = args.handler(args)
         # Looked up at call time, so a tracer that rebinds grid_to_csv here times it.
         if isinstance(result, ErrorGrid):
-            text = grid_to_csv(result) if args.format == "csv" else grid_to_json(result)
+            data = grid_to_csv(result) if args.format == "csv" else grid_to_json(result)
         else:
-            text = value_line(*result) if isinstance(result, tuple) else report_json(result)
-        _emit(text, args.output)
+            data = value_line(*result) if isinstance(result, tuple) else report_json(result)
+        _emit(data, args.output)
         return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

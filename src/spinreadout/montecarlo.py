@@ -75,19 +75,25 @@ def effective_outcome_probability(p_occupied: float, detector: DetectorModel) ->
 
 # numpy's SeedSequence constants; NEP 19 keeps its output stable.  Its pool
 # hash multiplies its constant by _MULT_A once per word hashed, and its
-# output hash runs the constants _INIT_B * _MULT_B**k.
+# output hash runs the constants _INIT_B * _MULT_B**k, k = 0..8: row j of
+# _OUTPUT_CONSTANTS holds k = 4j..4j+4, for the j-th pass over the pool.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POWERS_A = np.array([pow(_MULT_A, k, 2**32) for k in range(5)], np.uint32)
-_OUTPUT_CONSTANTS = np.array([_INIT_B * pow(_MULT_B, k, 2**32) % 2**32 for k in range(9)], np.uint32)
+_OUTPUT_CONSTANTS = np.array(
+    [[_INIT_B * pow(_MULT_B, k, 2**32) % 2**32 for k in range(j, j + 5)] for j in (0, 4)], np.uint32
+)
 
 
 def _hashmix(value: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """SeedSequence's hash of the uint32 `value`, column k under the
-    constants c[k] and c[k + 1]."""
-    value = (value ^ c[:-1]) * c[1:]
-    return value ^ value >> 16
+    """SeedSequence's hash of the uint32 `value`, word k of the last axis
+    under the constants c[..., k] and c[..., k + 1].  The first step makes
+    the array it returns, broadcast to the constants; the rest run in place."""
+    value = value ^ c[..., :-1]
+    value *= c[..., 1:]
+    value ^= value >> 16
+    return value
 
 
 def _seed_words(seed: int, keys: range) -> np.ndarray:
@@ -103,7 +109,7 @@ def _seed_words(seed: int, keys: range) -> np.ndarray:
     mixed ^= mixed >> 16
     # generate_state hashes the pool twice over into 8 words, which it reads
     # in pairs as little-endian uint64s.
-    state = _hashmix(np.concatenate([mixed, mixed], axis=1), _OUTPUT_CONSTANTS)
+    state = _hashmix(mixed[:, None], _OUTPUT_CONSTANTS).reshape(len(key), 8)
     return state.astype("<u4", copy=False).view("<u8")
 
 

@@ -1,6 +1,7 @@
 """Every output format of the command line: a grid as CSV or JSON, the protocol
 report or a ShotRecord as indented JSON, and a device calculator's value with
-its unit.  Each writer returns the whole text; the caller decides where it goes.
+its unit.  Each writer returns the whole output as ASCII bytes; the caller
+decides where they go.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def _padded_rows(col1: np.ndarray, col2: np.ndarray, block: np.ndarray) -> bytea
     return buf
 
 
-def grid_to_csv(grid: ErrorGrid) -> str:
+def grid_to_csv(grid: ErrorGrid) -> bytes:
     """Serialize a grid as `axis1,axis2,Ebar` rows, axis1 slowest, each cell
     reading as format(v, ".12g"), '\\n' line endings.
 
@@ -116,20 +117,19 @@ def grid_to_csv(grid: ErrorGrid) -> str:
     col1, col2 = _axis_cells(grid.axis1.values()), _axis_cells(grid.axis2.values())
     n1, n2 = grid.values.shape
     rows, cols = max(1, _BLOCK_NODES // n2), min(n2, _BLOCK_NODES)
-    parts = ["axis1,axis2,Ebar\n"]
+    parts = [b"axis1,axis2,Ebar\n"]
     for r0 in range(0, n1, rows):
         for c0 in range(0, n2, cols):
             block = grid.values[r0 : r0 + rows, c0 : c0 + cols]
             # Chained, so each buffer is freed as soon as the next one is made.
+            # bytes() trims the bytearray that translate leaves at its padded size.
             parts.append(
-                _padded_rows(col1[r0 : r0 + rows], col2[c0 : c0 + cols], block)
-                .translate(None, b"\0")
-                .decode("ascii")
+                bytes(_padded_rows(col1[r0 : r0 + rows], col2[c0 : c0 + cols], block).translate(None, b"\0"))
             )
-    return "".join(parts)
+    return b"".join(parts)
 
 
-def grid_to_json(grid: ErrorGrid) -> str:
+def grid_to_json(grid: ErrorGrid) -> bytes:
     """Serialize a grid as a JSON object: `axis1`, `axis2` and `fixed` laid out
     as json.dumps(..., indent=2) writes them, then `values`, one line per axis-1
     row.  Each row is encoded in one call to json's C encoder, which indent
@@ -138,7 +138,7 @@ def grid_to_json(grid: ErrorGrid) -> str:
         {"axis1": asdict(grid.axis1), "axis2": asdict(grid.axis2), "fixed": asdict(grid.fixed)}, indent=2
     ).removesuffix("\n}")
     rows = ",\n    ".join(map(json.dumps, grid.values.tolist()))
-    return f'{header},\n  "values": [\n    {rows}\n  ]\n}}\n'
+    return f'{header},\n  "values": [\n    {rows}\n  ]\n}}\n'.encode()
 
 
 def _json_default(value: object) -> dict:
@@ -146,11 +146,11 @@ def _json_default(value: object) -> dict:
     return {"re": value.real, "im": value.imag} if isinstance(value, complex) else asdict(value)
 
 
-def report_json(report: object) -> str:
+def report_json(report: object) -> bytes:
     """A protocol report or a ShotRecord, as json.dumps(..., indent=2) writes it."""
-    return json.dumps(report, indent=2, default=_json_default) + "\n"
+    return (json.dumps(report, indent=2, default=_json_default) + "\n").encode()
 
 
-def value_line(value: float, unit: str) -> str:
+def value_line(value: float, unit: str) -> bytes:
     """A device calculator's result: the float's repr, then its unit."""
-    return f"{value!r} {unit}\n"
+    return f"{value!r} {unit}\n".encode()

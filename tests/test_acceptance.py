@@ -137,7 +137,7 @@ def test_criterion_07_error_surface_regeneration(tmp_path):
         panel_a = grids["a"].values
         assert np.max(np.abs(panel_a - panel_a.T)) <= 1e-12
         assert panel_a[50, 50] <= 1e-12  # theta1 = theta2 = pi/4 node
-        assert grid_to_csv(grids["b"]).count("\n") == 1 + 101 * 101  # header + data rows
+        assert grid_to_csv(grids["b"]).count(b"\n") == 1 + 101 * 101  # header + data rows
         path = tmp_path / "golden.csv"
         code = main(
             ["errmap", "--panel", "a", "--resolution", "3",

@@ -139,6 +139,47 @@ def test_errmap_unwritable_path_exits_1_with_one_line(tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+OUTPUT_ROW = next(row for row in DIGESTS if "--output" in row["argv"])
+
+
+def run_output_row(path):
+    """Run the digest table's --output row with its file at `path`: its exit
+    status, stdout and stderr."""
+    argv = shlex.split(OUTPUT_ROW["argv"])[1:]
+    argv[argv.index("--output") + 1] = str(path)
+    return run_main(argv)
+
+
+@pytest.mark.parametrize("extra", [1 << 20, -(1 << 18)], ids=["longer", "shorter"])
+def test_output_over_a_longer_or_shorter_file_gives_the_digest_bytes(tmp_path, extra):
+    # The grid is about 440 KB: the old file is 1 MB longer, or 256 KB shorter.
+    path = tmp_path / "grid.csv"
+    out = run_main(shlex.split(OUTPUT_ROW["argv"])[1:-2])[1]
+    path.write_bytes(b"x" * (len(out) + extra))
+    assert run_output_row(path) == (0, "", "")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == OUTPUT_ROW["output"]
+
+
+def test_output_keeps_an_existing_files_permission_bits(tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_bytes(b"old")
+    path.chmod(0o640)
+    assert run_output_row(path) == (0, "", "")
+    assert path.stat().st_mode & 0o777 == 0o640
+
+
+def test_output_naming_a_directory_exits_1_with_one_line(tmp_path):
+    code, out, err = run_output_row(tmp_path)
+    assert code == 1 and out == "" and tmp_path.is_dir()
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_output_to_dev_null_exits_0():
+    # A character device is written but never cut to length.
+    assert run_output_row("/dev/null") == (0, "", "")
+
+
 def test_memory_error_exits_1_with_one_line(tmp_path, monkeypatch):
     def exhausted(*args):
         raise MemoryError

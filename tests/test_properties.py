@@ -391,7 +391,7 @@ def reference_csv(grid):
 def assert_csv_matches_reference(grid):
     # Reports the first differing line; pytest's diff of two long strings
     # would take minutes.
-    got, want = grid_to_csv(grid).split("\n"), reference_csv(grid).split("\n")
+    got, want = grid_to_csv(grid).decode().split("\n"), reference_csv(grid).split("\n")
     line = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
     assert line is None, f"line {line}: {got[line]!r} != {want[line]!r}"
     assert len(got) == len(want)
@@ -432,7 +432,7 @@ def csv_ebar_cells(values):
     and `values` reversed."""
     axis1, axis2 = AxisSpec("psi", 0.0, 1.0, 2), AxisSpec("phi", 0.0, 1.0, len(values))
     grid = ErrorGrid(axis1, axis2, GateParams.ideal(), [values, values[::-1]])
-    return [line.rsplit(",", 1)[1] for line in grid_to_csv(grid).splitlines()[1:]]
+    return [line.rsplit(",", 1)[1] for line in grid_to_csv(grid).decode().splitlines()[1:]]
 
 
 def in_guard_band(v):
