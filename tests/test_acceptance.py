@@ -29,10 +29,11 @@ from spinreadout import (
     sweep_grid,
     three_dot_sequence,
 )
-from spinreadout.cli import grid_to_csv, main
+from spinreadout.cli import main
 from spinreadout.error_analysis import panel_axes
 from spinreadout.montecarlo import DetectorModel
 from spinreadout.quadrature import avg_abs_error_quadrature
+from spinreadout.report import grid_to_csv
 
 from shared import GOLDEN_CSV, one_hot
 

@@ -3,9 +3,11 @@ function or value type.  A new bad input is one more row.
 
 Each row is `(call, field, fragment)`: `call()` must raise a ValidationError
 whose `field` is FIELD exactly and whose text contains FRAGMENT, the words
-that tell the branch apart.  Every row runs with warnings as errors and with
-axis sampling and shot drawing made to fail, so each also shows that the
-rejection comes first and warns of nothing.  The command line's table is
+that tell the branch apart.  Every row runs with axis sampling and shot
+drawing made to fail, so each also shows that the rejection comes first.  Like
+every test, each row runs with warnings as errors, by the warnings rule in
+`pyproject.toml`, so it also shows that the rejection warns of nothing.  The
+command line's table is
 `test_cli.py::test_bad_command_line_exits_2_naming_its_field`.
 """
 
@@ -171,7 +173,6 @@ ROWS = [
 ]
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("call, field, fragment", ROWS, ids=row_ids(ROWS))
 def test_bad_input_raises_validation_error_naming_its_field(monkeypatch, call, field, fragment):
     forbid_work(monkeypatch)

@@ -19,9 +19,9 @@ import pytest
 import spinreadout.cli
 import spinreadout.montecarlo
 from spinreadout import GateParams, SpinInput, sample_readout
-from spinreadout.cli import grid_to_csv
 from spinreadout.error_analysis import panel_axes, sweep_grid
 from spinreadout.montecarlo import BATCH_SHOTS, MAX_SHOTS, _seed_words, _shares, _Words
+from spinreadout.report import grid_to_csv
 
 from shared import GOLDEN_ARGS, forbid_work, run_main, use_cpus
 
@@ -118,7 +118,6 @@ BAD_ARGV = [
 ]
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, field, fragment", [(*row, "") if len(row) == 2 else row for row in BAD_ARGV])
 def test_bad_command_line_exits_2_naming_its_field(monkeypatch, tmp_path, argv, field, fragment):
     # Exit 2 before any axis is sampled, shot drawn or byte written; a
@@ -132,11 +131,23 @@ def test_bad_command_line_exits_2_naming_its_field(monkeypatch, tmp_path, argv, 
         assert fragment in err
 
 
-def test_errmap_unwritable_path_exits_1_with_one_line(tmp_path):
-    path = tmp_path / "missing-dir" / "grid.csv"
-    code, out, err = run_main(GOLDEN_ARGS + ["--output", str(path)])
-    assert code == 1 and out == "" and not path.exists()
+@pytest.mark.parametrize(
+    "name, out_of_memory",
+    [("missing-dir/grid.csv", False), ("", False), ("grid.csv", True)],
+    ids=["missing-directory", "directory", "memory-error"],
+)
+def test_unwritable_output_or_memory_error_exits_1_with_one_line(monkeypatch, tmp_path, name, out_of_memory):
+    # The --output path is a file in a missing directory, the empty tmp_path
+    # itself, or a new file that a sweep raising MemoryError never reaches.
+    def exhausted(*args):
+        raise MemoryError
+
+    if out_of_memory:
+        monkeypatch.setattr(spinreadout.cli, "sweep_grid", exhausted)
+    code, out, err = run_main(GOLDEN_ARGS + ["--output", str(tmp_path / name)])
+    assert code == 1 and out == "" and not any(tmp_path.iterdir())
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == "error: out of memory\n" or not out_of_memory
 
 
 OUTPUT_ROW = next(row for row in DIGESTS if "--output" in row["argv"])
@@ -151,44 +162,21 @@ def run_output_row(path):
 
 
 @pytest.mark.parametrize("extra", [1 << 20, -(1 << 18)], ids=["longer", "shorter"])
-def test_output_over_a_longer_or_shorter_file_gives_the_digest_bytes(tmp_path, extra):
+def test_output_over_a_longer_or_shorter_file_gives_the_digest_bytes_and_keeps_its_mode(tmp_path, extra):
     # The grid is about 440 KB: the old file is 1 MB longer, or 256 KB shorter.
     path = tmp_path / "grid.csv"
     out = run_main(shlex.split(OUTPUT_ROW["argv"])[1:-2])[1]
     path.write_bytes(b"x" * (len(out) + extra))
-    assert run_output_row(path) == (0, "", "")
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == OUTPUT_ROW["output"]
-
-
-def test_output_keeps_an_existing_files_permission_bits(tmp_path):
-    path = tmp_path / "grid.csv"
-    path.write_bytes(b"old")
     path.chmod(0o640)
     assert run_output_row(path) == (0, "", "")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == OUTPUT_ROW["output"]
     assert path.stat().st_mode & 0o777 == 0o640
-
-
-def test_output_naming_a_directory_exits_1_with_one_line(tmp_path):
-    code, out, err = run_output_row(tmp_path)
-    assert code == 1 and out == "" and tmp_path.is_dir()
-    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
 def test_output_to_dev_null_exits_0():
     # A character device is written but never cut to length.
     assert run_output_row("/dev/null") == (0, "", "")
-
-
-def test_memory_error_exits_1_with_one_line(tmp_path, monkeypatch):
-    def exhausted(*args):
-        raise MemoryError
-
-    monkeypatch.setattr(spinreadout.cli, "sweep_grid", exhausted)
-    path = tmp_path / "grid.csv"
-    code, out, err = run_main(GOLDEN_ARGS + ["--output", str(path)])
-    assert code == 1 and out == "" and not path.exists()
-    assert err == "error: out of memory\n"
 
 
 @pytest.mark.parametrize("failing", [0, 20], ids=["calling-thread", "worker-thread"])
@@ -297,7 +285,7 @@ def test_command_bytes_match_the_digest_table(monkeypatch, tmp_path, row, cpus):
         use_cpus(monkeypatch, cpus)
     argv = shlex.split(row["argv"])
     code, out, err = run_main(argv[1:])
-    assert code == 0, err
+    assert (code, err) == (0, "")
     output = None
     if "--output" in argv:
         output = hashlib.sha256((tmp_path / argv[argv.index("--output") + 1]).read_bytes()).hexdigest()

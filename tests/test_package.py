@@ -26,13 +26,15 @@ PUBLIC = {
 
 
 def _loaded_after(statement: str) -> list[str]:
-    """The spinreadout submodules and numpy.random modules a fresh interpreter
-    holds after `statement`."""
+    """The spinreadout submodules and numpy.random modules that `statement`
+    loads in a fresh interpreter that has imported numpy, so what numpy itself
+    loads is not counted."""
     src = str(Path(spinreadout.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    report = "import sys; print(*sorted(m for m in sys.modules if m.startswith(('spinreadout.', 'numpy.random'))))"
+    setup = "import sys, numpy; before = set(sys.modules)"
+    report = "print(*sorted(m for m in set(sys.modules) - before if m.startswith(('spinreadout.', 'numpy.random'))))"
     result = subprocess.run(
-        [sys.executable, "-c", f"{statement}\n{report}"],
+        [sys.executable, "-c", f"{setup}\n{statement}\n{report}"],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,

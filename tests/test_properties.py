@@ -45,11 +45,11 @@ from spinreadout import (
     three_dot_sequence,
     u2_general,
 )
-from spinreadout.cli import grid_to_csv
 from spinreadout.core import ATOL, MAX_ANGLE
 from spinreadout.error_analysis import AXIS_NAMES, MAX_GRID_NODES
 from spinreadout.montecarlo import BATCH_SHOTS, MAX_SHARES, MAX_SHOTS, SHARE_BATCHES, _seed_words, _shares
 from spinreadout.quadrature import avg_abs_error_quadrature
+from spinreadout.report import grid_to_csv
 from spinreadout.report import _BLOCK_NODES
 
 from shared import ALL_GATES, DELTAS, GAMMAS, GATE_ANGLES, PROPERTY, run_main, use_cpus
