@@ -173,6 +173,16 @@ def test_output_over_a_longer_or_shorter_file_gives_the_digest_bytes_and_keeps_i
     assert path.stat().st_mode & 0o777 == 0o640
 
 
+def test_output_to_a_new_file_gets_mode_0o666_less_the_umask(tmp_path):
+    path = tmp_path / "grid.csv"
+    umask = os.umask(0o027)
+    try:
+        assert run_output_row(path) == (0, "", "")
+    finally:
+        os.umask(umask)
+    assert path.stat().st_mode & 0o777 == 0o640
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
 def test_output_to_dev_null_exits_0():
     # A character device is written but never cut to length.
