@@ -42,6 +42,7 @@ from .device import (
 from .error_analysis import (
     AXIS_NAMES,
     DEFAULT_RESOLUTION,
+    PANELS,
     AxisSpec,
     ErrorGrid,
     check_axis_pair,
@@ -165,100 +166,90 @@ def _cmd_pulse_angle(args: argparse.Namespace) -> tuple[float, str]:
     return pulse_angle(PulseSpec(segments)), "rad"
 
 
-def _add_spin_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--delta", type=float, required=True, help="input polar angle in [0, pi]")
-    parser.add_argument("--gamma", type=float, default=0.0, help="input relative phase in [0, 2pi)")
-
-
-def _add_gate_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--ideal", action="store_true", help="use the ideal gate set (pi/4, pi/4, pi/2, pi)"
-    )
-    parser.add_argument("--theta1", type=float, default=None, help="first tunneling angle, radians")
-    parser.add_argument("--theta2", type=float, default=None, help="second tunneling angle, radians")
-    parser.add_argument("--psi", type=float, default=None, help="conditional phase, radians")
-    parser.add_argument("--phi", type=float, default=None, help="spin-rotation angle, radians")
-
-
-def _add_material_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, required=True, help="spin-orbit coupling, eV*m")
-    parser.add_argument(
-        "--mass", type=float, default=DEFAULT_EFFECTIVE_MASS, help="effective mass, electron masses"
-    )
-
-
-def _add_output_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--output", default=None, help="write here instead of stdout")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and reused by `main`;
     each command names its handler, which maps the parsed flags to the value
-    that `main` writes."""
+    that `main` writes.  A flag group that several commands share is declared
+    once, as a parent parser that each of those commands lists."""
     parser = argparse.ArgumentParser(
         prog="spinreadout",
         description="Simulate single-spin readout by spin-to-charge conversion.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    proto = sub.add_parser("protocol", help="run a readout sequence, report the outcome")
+    spin = argparse.ArgumentParser(add_help=False)
+    spin.add_argument("--delta", type=float, required=True, help="input polar angle in [0, pi]")
+    spin.add_argument("--gamma", type=float, default=0.0, help="input relative phase in [0, 2pi)")
+    gates = argparse.ArgumentParser(add_help=False)
+    gates.add_argument(
+        "--ideal", action="store_true", help="use the ideal gate set (pi/4, pi/4, pi/2, pi)"
+    )
+    gates.add_argument("--theta1", type=float, help="first tunneling angle, radians")
+    gates.add_argument("--theta2", type=float, help="second tunneling angle, radians")
+    gates.add_argument("--psi", type=float, help="conditional phase, radians")
+    gates.add_argument("--phi", type=float, help="spin-rotation angle, radians")
+    material = argparse.ArgumentParser(add_help=False)
+    material.add_argument("--alpha", type=float, required=True, help="spin-orbit coupling, eV*m")
+    material.add_argument(
+        "--mass", type=float, default=DEFAULT_EFFECTIVE_MASS, help="effective mass, electron masses"
+    )
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="write here instead of stdout")
+
+    proto = sub.add_parser(
+        "protocol", parents=[spin, gates, output], help="run a readout sequence, report the outcome"
+    )
     proto.add_argument("--variant", choices=("two-dot", "three-dot"), default="two-dot")
-    _add_spin_flags(proto)
-    _add_gate_flags(proto)
-    _add_output_flag(proto)
     proto.set_defaults(handler=_cmd_protocol)
 
-    errmap = sub.add_parser("errmap", help="sweep the averaged readout error over two gate angles")
-    errmap.add_argument("--panel", choices=("a", "b", "c", "custom"), default="a")
+    errmap = sub.add_parser(
+        "errmap", parents=[gates, output], help="sweep the averaged readout error over two gate angles"
+    )
+    errmap.add_argument("--panel", choices=(*PANELS, "custom"), default="a")
     errmap.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION, help="points per axis")
-    errmap.add_argument("--range1", default=None, help="axis 1 range as LO,HI (radians)")
-    errmap.add_argument("--range2", default=None, help="axis 2 range as LO,HI (radians)")
-    errmap.add_argument("--axis1", default=None, help=f"custom axis name, one of {', '.join(AXIS_NAMES)}")
-    errmap.add_argument("--axis2", default=None, help="custom second axis name")
-    _add_gate_flags(errmap)
+    errmap.add_argument("--range1", help="axis 1 range as LO,HI (radians)")
+    errmap.add_argument("--range2", help="axis 2 range as LO,HI (radians)")
+    errmap.add_argument("--axis1", help=f"custom axis name, one of {', '.join(AXIS_NAMES)}")
+    errmap.add_argument("--axis2", help="custom second axis name")
     errmap.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_output_flag(errmap)
     errmap.set_defaults(handler=_cmd_errmap)
 
-    mc = sub.add_parser("montecarlo", help="sample single-shot detector statistics")
-    _add_spin_flags(mc)
-    _add_gate_flags(mc)
+    mc = sub.add_parser(
+        "montecarlo", parents=[spin, gates, output], help="sample single-shot detector statistics"
+    )
     mc.add_argument("--shots", type=int, required=True, help="number of single-shot readouts")
     mc.add_argument("--seed", type=int, default=0, help="RNG seed")
     mc.add_argument("--efficiency", type=float, default=1.0, help="detector efficiency in [0, 1]")
     mc.add_argument(
         "--false-positive", type=float, default=0.0, help="detector false-positive rate in [0, 1]"
     )
-    _add_output_flag(mc)
     mc.set_defaults(handler=_cmd_montecarlo)
 
     device = sub.add_parser("device", help="pulse-area and spin-orbit length calculators")
     calc = device.add_subparsers(dest="calc", required=True)
 
-    p_angle = calc.add_parser("pulse-angle", help="rotation angle of a coupling pulse")
+    p_angle = calc.add_parser("pulse-angle", parents=[output], help="rotation angle of a coupling pulse")
     p_angle.add_argument(
         "--segments", required=True, help="comma-separated AMP_UEV:DURATION_PS segments"
     )
-    _add_output_flag(p_angle)
     p_angle.set_defaults(handler=_cmd_pulse_angle)
 
-    p_for = calc.add_parser("pulse-for-angle", help="constant amplitude for a target angle")
+    p_for = calc.add_parser("pulse-for-angle", parents=[output], help="constant amplitude for a target angle")
     p_for.add_argument("--angle", type=float, required=True, help="target rotation, radians")
     p_for.add_argument("--duration", type=float, required=True, help="pulse duration, ps")
-    _add_output_flag(p_for)
     p_for.set_defaults(handler=lambda a: (pulse_for_angle(a.angle, a.duration), "ueV"))
 
-    r_len = calc.add_parser("rashba-length", help="region length for a target spin rotation")
-    _add_material_flags(r_len)
+    r_len = calc.add_parser(
+        "rashba-length", parents=[material, output], help="region length for a target spin rotation"
+    )
     r_len.add_argument("--angle", type=float, required=True, help="target spin rotation, radians")
-    _add_output_flag(r_len)
     r_len.set_defaults(handler=lambda a: (rashba_length(a.alpha, a.mass, a.angle), "nm"))
 
-    r_ang = calc.add_parser("rashba-angle", help="spin rotation accumulated over a region length")
-    _add_material_flags(r_ang)
+    r_ang = calc.add_parser(
+        "rashba-angle", parents=[material, output], help="spin rotation accumulated over a region length"
+    )
     r_ang.add_argument("--length", type=float, required=True, help="region length, nm")
-    _add_output_flag(r_ang)
     r_ang.set_defaults(handler=lambda a: (rashba_angle(a.alpha, a.mass, a.length), "rad"))
 
     return parser

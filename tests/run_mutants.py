@@ -10,7 +10,8 @@ last, so that a mutant the fast tables kill need not wait for it: once
 unmutated, which must pass, then once per mutant, which must fail.  The copied
 pyproject.toml carries the suite's warnings rule, so a mutant that only makes
 a warning, such as a file left open, is killed too.  It never writes to the
-working tree.  It ends with `N of M mutants killed in T s`, T being the
+working tree.  Each verdict is flushed as it is printed, so a piped run shows
+its progress.  It ends with `N of M mutants killed in T s`, T being the
 whole run's wall time.  Exits 0 when every mutant is killed; exits 1 when the
 unmutated copy fails, or naming each mutant that survives and each `old`
 string not found exactly once.
@@ -84,10 +85,11 @@ def main() -> int:
             start = time.perf_counter()
             killed = not _pytest_passes(root)
             path.write_text(original)
-            print(f"{'killed' if killed else 'SURVIVED'} in {time.perf_counter() - start:.1f} s: {label}")
+            print(f"{'killed' if killed else 'SURVIVED'} in {time.perf_counter() - start:.1f} s: {label}", flush=True)
             if not killed:
                 faults.append(f"survived: {label}")
-    print(f"{len(mutants) - len(faults)} of {len(mutants)} mutants killed in {time.perf_counter() - started:.0f} s")
+    print(f"{len(mutants) - len(faults)} of {len(mutants)} mutants killed in {time.perf_counter() - started:.0f} s",
+          flush=True)
     for fault in faults:
         print(fault)
     return 1 if faults else 0

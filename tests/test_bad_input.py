@@ -83,6 +83,8 @@ ROWS = [
     (lambda: basis_index("up", "0", 5), "dim", "unsupported dimension 5"),
     (lambda: rx_mode(0.1, ("0", "0p"), 4), "mode", "'0p'"),
     (lambda: rx_mode(0.1, ("0", "0"), 4), "mode_pair", "distinct"),
+    (lambda: rx_mode(0.1, ("0",)), "mode_pair", "expected two modes"),
+    (lambda: rx_mode(0.1, ("0", "1", "0p")), "mode_pair", "expected two modes"),
     (lambda: rz_spin(0.3, "0p", 4), "mode", "'0p'"),
     (lambda: dot_occupancy(one_hot("up", "0", 4), "0p"), "mode", "'0p'"),
     (lambda: rx_mode(math.inf), "theta", "not finite"),

@@ -9,6 +9,7 @@ Runs are derandomized, so every run draws the same examples.
 """
 
 import math
+import os
 import re
 from fractions import Fraction
 
@@ -320,11 +321,19 @@ def test_sample_readout_count_equals_per_shot_reference(params, delta, gamma, de
 
 
 @PROPERTY
-@given(st.integers(1, -(-MAX_SHOTS // BATCH_SHOTS)), st.integers(1, 64))
-@example(123, 2)
-def test_shares_cover_every_batch_once_and_keep_to_their_caps(n_batches, cpus):
+@given(st.integers(1, -(-MAX_SHOTS // BATCH_SHOTS)), st.integers(1, 64), st.sampled_from(["affinity", "count", "none"]))
+@example(123, 2, "affinity")
+@example(33, 3, "count")  # 11 + 11 + 11
+@example(33, 3, "none")  # one share
+def test_shares_cover_every_batch_once_and_keep_to_their_caps(n_batches, cpus, platform):
     with pytest.MonkeyPatch.context() as monkeypatch:
-        use_cpus(monkeypatch, cpus)
+        if platform == "affinity":
+            use_cpus(monkeypatch, cpus)
+        else:  # no affinity call: os.cpu_count() counts the CPUs, and its None means one
+            count = None if platform == "none" else cpus
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+            cpus = count or 1
         shares = _shares(n_batches)
     # Contiguous and in order, from batch 0 to the last.
     assert [0] + [share.stop for share in shares] == [share.start for share in shares] + [n_batches]

@@ -17,6 +17,7 @@ line.  Identities over the whole domain are properties in
 import cmath
 import json
 import math
+import re
 from operator import itemgetter
 
 import numpy as np
@@ -92,11 +93,20 @@ def cli(*argv):
     return stdout
 
 
+def flags(*command):
+    """The set of --options that a command's --help prints."""
+    return set(re.findall(r"--[a-z][a-z0-9-]*", cli(*command, "--help")))
+
+
 PI_2, TWO_PI = str(math.pi / 2), str(2 * math.pi)
 SPIN_UP_IDEAL = ("protocol", "--variant", "two-dot", "--delta", "0", "--gamma", "0", "--ideal")
 SPIN_DOWN_THREE_DOT = ("protocol", "--variant", "three-dot", "--delta", "3.14159265", "--ideal")
 DASH_LED = ("errmap", "--panel", "custom", "--axis1", "theta1", "--axis2", "phi", "--resolution", "3")
 PANEL_B5 = ("errmap", "--panel", "b", "--resolution", "5")
+# The shared flag groups, each declared once in cli.build_parser; every command also takes --help and --output.
+SPIN = {"--delta", "--gamma"}
+GATES = {"--ideal", "--theta1", "--theta2", "--psi", "--phi"}
+MATERIAL = {"--alpha", "--mass"}
 
 
 ROWS = [
@@ -198,6 +208,16 @@ ROWS = [
        1.0, 1e-12) for a, m in ((1e-11, 0.067), (3e-11, 0.02), (3e-11, 0.067))],
     *[(lambda a=a, m=m, t=t: rashba_angle(a, m, rashba_length(a, m, t)), t, 1e-12 * t)
       for a, m, t in ((4e-11, 0.026, math.pi / 2), (1.2e-11, 0.05, 0.3))],
+    # command line: each command's flag set, so that every flag it takes is one it applies or rejects
+    (lambda: flags("protocol"), {"--help", "--output", *SPIN, *GATES, "--variant"}, None),
+    (lambda: flags("errmap"), {"--help", "--output", *GATES, "--panel", "--resolution", "--range1", "--range2",
+                               "--axis1", "--axis2", "--format"}, None),
+    (lambda: flags("montecarlo"), {"--help", "--output", *SPIN, *GATES, "--shots", "--seed", "--efficiency",
+                                   "--false-positive"}, None),
+    (lambda: flags("device", "pulse-angle"), {"--help", "--output", "--segments"}, None),
+    (lambda: flags("device", "pulse-for-angle"), {"--help", "--output", "--angle", "--duration"}, None),
+    (lambda: flags("device", "rashba-length"), {"--help", "--output", *MATERIAL, "--angle"}, None),
+    (lambda: flags("device", "rashba-angle"), {"--help", "--output", *MATERIAL, "--length"}, None),
     # command line: protocol reports
     (lambda: json.loads(cli(*SPIN_UP_IDEAL))["p_up"], 1.0, 1e-12),
     (lambda: json.loads(cli(*SPIN_UP_IDEAL))["occupancy"]["1"], 1.0, 1e-12),
